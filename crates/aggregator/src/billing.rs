@@ -16,7 +16,6 @@ use core::fmt;
 use rtem_net::packet::{AggregatorAddr, DeviceId};
 use rtem_sensors::energy::{MilliampSeconds, Millivolts, MilliwattHours};
 use rtem_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Seconds in one billing day.
@@ -24,7 +23,7 @@ const SECONDS_PER_DAY: u64 = 86_400;
 
 /// One daily time-of-use pricing window: `[start_s, end_s)` seconds from
 /// midnight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TouWindow {
     /// Window start, seconds from midnight (inclusive).
     pub start_s: u64,
@@ -54,7 +53,7 @@ impl TouWindow {
 }
 
 /// One rung of a [`Tariff::Tiered`] ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierRate {
     /// Cumulative-energy upper bound of the tier in mWh; `None` marks the
     /// final, unbounded tier.
@@ -210,7 +209,7 @@ impl std::error::Error for TariffError {}
 /// assert_eq!(tou.energy_price_at(19 * 3600), 3.0);
 /// assert_eq!(tou.energy_price_at(9 * 3600), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Tariff {
     /// One price at every hour — the paper's testbed billing.
     Flat {
@@ -430,7 +429,7 @@ impl Tariff {
 }
 
 /// Where a billed record was collected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CollectionOrigin {
     /// Collected by the home aggregator itself.
     Home,
@@ -446,7 +445,7 @@ pub enum CollectionOrigin {
 /// Invariant (tested): `energy + demand` equals the bill's total `cost`;
 /// `roaming` is the portion of `energy` collected while the device roamed
 /// (a subset, not an addition).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// Volumetric (per-mWh) component.
     pub energy: f64,
@@ -464,7 +463,7 @@ impl CostBreakdown {
 }
 
 /// Per-device billing state.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct DeviceBill {
     /// Total charge billed, in microamp-seconds.
     pub charge_uas: u64,
@@ -491,7 +490,7 @@ impl DeviceBill {
 }
 
 /// One record tracked by a device's sliding demand window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct DemandEntry {
     start_us: u64,
     end_us: u64,
@@ -499,7 +498,7 @@ struct DemandEntry {
 }
 
 /// Sliding-window demand state of one device under a demand-charge tariff.
-#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct DemandState {
     /// Records overlapping the current window, sorted by interval end.
     entries: Vec<DemandEntry>,
@@ -508,7 +507,7 @@ struct DemandState {
 }
 
 /// Consolidated billing engine of one home aggregator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BillingEngine {
     tariff: Tariff,
     supply: Millivolts,

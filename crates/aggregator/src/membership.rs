@@ -10,13 +10,12 @@
 use rtem_net::packet::{AggregatorAddr, DeviceId, MembershipKind};
 use rtem_net::tdma::{SlotError, SlotTable};
 use rtem_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
 /// One membership entry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Membership {
     /// The member device.
     pub device: DeviceId,
@@ -56,7 +55,7 @@ impl fmt::Display for MembershipError {
 impl Error for MembershipError {}
 
 /// The membership registry plus the TDMA slot table backing it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MembershipRegistry {
     members: BTreeMap<DeviceId, Membership>,
     slots: SlotTable,

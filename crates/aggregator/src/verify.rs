@@ -18,11 +18,10 @@
 
 use rtem_net::packet::DeviceId;
 use rtem_sensors::energy::Milliamps;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Configuration of the window verifier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerifierConfig {
     /// Expected relative overhead of the upstream measurement over the device
     /// sum due to ohmic losses (fraction, e.g. 0.05 for 5 %).
@@ -44,7 +43,7 @@ impl Default for VerifierConfig {
 }
 
 /// Verdict for one verification window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowVerdict {
     /// Sum of device-reported mean currents in the window.
     pub reported_sum_ma: f64,
@@ -58,7 +57,7 @@ pub struct WindowVerdict {
 }
 
 /// Sliding-window verifier comparing reported and measured totals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowVerifier {
     config: VerifierConfig,
     windows_checked: u64,
@@ -118,7 +117,7 @@ impl Default for WindowVerifier {
 /// entropy at a suspiciously low level) compared with their own history —
 /// the signature of a constant, under-reported value replacing real
 /// measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EntropyDetector {
     bin_width_ma: f64,
     history_len: usize,

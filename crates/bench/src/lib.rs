@@ -1,21 +1,22 @@
 //! # rtem-bench — experiment harness
 //!
-//! Regenerates every table and figure of the paper's evaluation (§III) plus
-//! the ablations listed in `DESIGN.md`. Two kinds of targets live here:
+//! Regenerates every table and figure of the paper's evaluation (§III) and
+//! the repository's `BENCH_*.json` files. The harness binaries
+//! (`src/bin/*.rs`) print the rows / series the paper reports:
+//! `fig5_decentralized_metering`, `fig6_mobility_trace`, `thandshake_stats`,
+//! `backhaul_delay`, `ablation_error_sources`, `tamper_audit`,
+//! `anomaly_detection`, `scalability_sweep`. The sweeps `scale_sweep`,
+//! `workload_sweep`, `codec_sweep`, `control_sweep`, `resilience_sweep`,
+//! `campaign_sweep` and `obs_overhead` write the committed `BENCH_*.json`
+//! files. Per-layer wall-clock costs are measured by the standalone
+//! `perfbench/` package at the repository root.
 //!
-//! * **Harness binaries** (`src/bin/*.rs`) print the rows / series the paper
-//!   reports: `fig5_decentralized_metering`, `fig6_mobility_trace`,
-//!   `thandshake_stats`, `backhaul_delay`, `ablation_error_sources`,
-//!   `tamper_audit`, `anomaly_detection`, `scalability_sweep`.
-//! * **Criterion benches** (`benches/*.rs`) measure the runtime cost of the
-//!   building blocks (simulation throughput, chain sealing, sensor model).
-//!
-//! This library crate only hosts small shared helpers for those targets.
+//! This library crate only hosts small shared helpers for those binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rtem_core::metrics::AccuracyWindow;
+use rtem::metrics::AccuracyWindow;
 
 /// Formats one Fig. 5 window as a fixed-width table row.
 pub fn format_fig5_row(window: &AccuracyWindow) -> String {
@@ -56,7 +57,7 @@ pub fn sparkline(values: &[f64], width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtem_sim::time::SimTime;
+    use rtem::sim::time::SimTime;
     use std::collections::BTreeMap;
 
     #[test]

@@ -847,12 +847,20 @@ impl CampaignSpec {
             let parse_u32 = |s: &str| -> Result<u32, CampaignParseError> {
                 s.parse().map_err(|_| fail(line_no, "expected an integer"))
             };
+            // Times become `SimTime` / `SimDuration` microseconds; larger
+            // values would overflow simulated time.
+            let parse_at_most = |s: &str, max: u64| match parse_u64(s)? {
+                value if value <= max => Ok(value),
+                _ => Err(fail(line_no, "time exceeds the simulated clock range")),
+            };
+            let parse_secs = |s: &str| parse_at_most(s, u64::MAX / 1_000_000);
+            let parse_millis = |s: &str| parse_at_most(s, u64::MAX / 1_000);
             match (fields[0], fields.len()) {
                 ("end", 1) => ended = true,
                 ("seed", 2) => spec.seed = parse_u64(fields[1])?,
                 ("networks", 2) => spec.networks = parse_u32(fields[1])?,
                 ("devices", 2) => spec.devices_per_network = parse_u32(fields[1])?,
-                ("horizon", 2) => spec.horizon_s = parse_u64(fields[1])?,
+                ("horizon", 2) => spec.horizon_s = parse_secs(fields[1])?,
                 ("workload", 2) => {
                     spec.workload = WorkloadPreset::from_name(fields[1])
                         .ok_or_else(|| fail(line_no, "unknown workload preset"))?
@@ -868,14 +876,14 @@ impl CampaignSpec {
                 ("fault", n) if n >= 2 => {
                     let fault = match (fields[1], n) {
                         ("sensor_stuck", 6) => CampaignFault::SensorStuck {
-                            at_s: parse_u64(fields[2])?,
+                            at_s: parse_secs(fields[2])?,
                             net: parse_u32(fields[3])?,
                             ord: parse_u32(fields[4])?,
                             level_ma: parse_u32(fields[5])?,
                         },
                         ("sensor_drift", 7) => CampaignFault::SensorDrift {
-                            at_s: parse_u64(fields[2])?,
-                            until_s: parse_u64(fields[3])?,
+                            at_s: parse_secs(fields[2])?,
+                            until_s: parse_secs(fields[3])?,
                             net: parse_u32(fields[4])?,
                             ord: parse_u32(fields[5])?,
                             rate_ma_per_s: fields[6]
@@ -883,12 +891,12 @@ impl CampaignSpec {
                                 .map_err(|_| fail(line_no, "expected an integer"))?,
                         },
                         ("tamper", 4) => CampaignFault::Tamper {
-                            at_s: parse_u64(fields[2])?,
+                            at_s: parse_secs(fields[2])?,
                             net: parse_u32(fields[3])?,
                         },
                         ("wifi_burst", 6) => CampaignFault::WifiBurst {
-                            at_s: parse_u64(fields[2])?,
-                            until_s: parse_u64(fields[3])?,
+                            at_s: parse_secs(fields[2])?,
+                            until_s: parse_secs(fields[3])?,
                             net: if fields[4] == "all" {
                                 None
                             } else {
@@ -899,21 +907,21 @@ impl CampaignSpec {
                                 .map_err(|_| fail(line_no, "expected an integer"))?,
                         },
                         ("backhaul_burst", 5) => CampaignFault::BackhaulBurst {
-                            at_s: parse_u64(fields[2])?,
-                            until_s: parse_u64(fields[3])?,
+                            at_s: parse_secs(fields[2])?,
+                            until_s: parse_secs(fields[3])?,
                             loss_permille: fields[4]
                                 .parse()
                                 .map_err(|_| fail(line_no, "expected an integer"))?,
                         },
                         ("crash", 6) => CampaignFault::Crash {
-                            at_s: parse_u64(fields[2])?,
-                            restart_s: parse_u64(fields[3])?,
+                            at_s: parse_secs(fields[2])?,
+                            restart_s: parse_secs(fields[3])?,
                             net: parse_u32(fields[4])?,
                             ord: parse_u32(fields[5])?,
                         },
                         ("outage", 6) => CampaignFault::Outage {
-                            at_s: parse_u64(fields[2])?,
-                            until_s: parse_u64(fields[3])?,
+                            at_s: parse_secs(fields[2])?,
+                            until_s: parse_secs(fields[3])?,
                             net: parse_u32(fields[4])?,
                             failover: if fields[5] == "none" {
                                 None
@@ -922,14 +930,14 @@ impl CampaignSpec {
                             },
                         },
                         ("byzantine", 6) => CampaignFault::Byzantine {
-                            at_s: parse_u64(fields[2])?,
-                            until_s: parse_u64(fields[3])?,
+                            at_s: parse_secs(fields[2])?,
+                            until_s: parse_secs(fields[3])?,
                             net: parse_u32(fields[4])?,
                             voters: parse_u32(fields[5])?,
                         },
                         ("corruption", 8) => CampaignFault::Corruption {
-                            at_s: parse_u64(fields[2])?,
-                            until_s: parse_u64(fields[3])?,
+                            at_s: parse_secs(fields[2])?,
+                            until_s: parse_secs(fields[3])?,
                             net: parse_u32(fields[4])?,
                             ord: parse_u32(fields[5])?,
                             mode: CorruptionModeSpec::from_token(fields[6])
@@ -949,16 +957,16 @@ impl CampaignSpec {
                     };
                     let control = match (fields[1], n) {
                         ("measure_interval", 5) => CampaignControl::MeasureInterval {
-                            at_s: parse_u64(fields[2])?,
+                            at_s: parse_secs(fields[2])?,
                             target: target(fields[3])?,
-                            interval_ms: parse_u64(fields[4])?,
+                            interval_ms: parse_millis(fields[4])?,
                         },
                         ("stop_reporting", 4) => CampaignControl::StopReporting {
-                            at_s: parse_u64(fields[2])?,
+                            at_s: parse_secs(fields[2])?,
                             target: target(fields[3])?,
                         },
                         ("start_reporting", 4) => CampaignControl::StartReporting {
-                            at_s: parse_u64(fields[2])?,
+                            at_s: parse_secs(fields[2])?,
                             target: target(fields[3])?,
                         },
                         _ => return Err(fail(line_no, "unknown control line")),
@@ -966,8 +974,8 @@ impl CampaignSpec {
                     spec.controls.push(control);
                 }
                 ("hop", 6) => spec.mobility.push(CampaignHop {
-                    unplug_s: parse_u64(fields[1])?,
-                    replug_s: parse_u64(fields[2])?,
+                    unplug_s: parse_secs(fields[1])?,
+                    replug_s: parse_secs(fields[2])?,
                     net: parse_u32(fields[3])?,
                     ord: parse_u32(fields[4])?,
                     dest: parse_u32(fields[5])?,
@@ -1078,5 +1086,20 @@ mod tests {
                          fault warp 3\nend\n";
         let err = CampaignSpec::parse(bad_fault).unwrap_err();
         assert_eq!(err.line, 9);
+        // Times past what simulated microseconds hold fail at their line
+        // instead of overflowing once lowered.
+        let topology = "campaign v1\nseed 1\nnetworks 2\ndevices 1\n";
+        let horizon = format!("{topology}horizon 18446744073709551615\nend\n");
+        assert_eq!(CampaignSpec::parse(&horizon).unwrap_err().line, 5);
+        let hop = format!("{topology}horizon 50\nhop 10 18446744073709551615 0 0 1\nend\n");
+        assert_eq!(CampaignSpec::parse(&hop).unwrap_err().line, 6);
+        let interval = format!(
+            "{topology}horizon 50\ncontrol measure_interval 5 all {}\nend\n",
+            u64::MAX / 1_000 + 1
+        );
+        assert_eq!(CampaignSpec::parse(&interval).unwrap_err().line, 6);
+        // The largest representable horizon still parses and lowers.
+        let largest = format!("{topology}horizon {}\nend\n", u64::MAX / 1_000_000);
+        assert_eq!(CampaignSpec::parse(&largest).unwrap().validate(), Ok(()));
     }
 }

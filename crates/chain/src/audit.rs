@@ -9,10 +9,9 @@
 
 use crate::chain::HashChain;
 use crate::sha256::Digest;
-use serde::{Deserialize, Serialize};
 
 /// Classification of a single audit finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FindingKind {
     /// A block's stored records no longer match its header commitment
     /// (a record was rewritten in place).
@@ -29,7 +28,7 @@ pub enum FindingKind {
 }
 
 /// One localized audit finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Finding {
     /// Height of the offending block.
     pub block_index: u64,
@@ -43,7 +42,7 @@ pub struct Finding {
 }
 
 /// The result of auditing a chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditReport {
     /// Number of blocks examined.
     pub blocks_examined: usize,

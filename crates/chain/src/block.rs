@@ -8,7 +8,6 @@
 
 use crate::merkle::{merkle_root, MerkleProof};
 use crate::sha256::{Digest, Sha256};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of the entity allowed to write blocks (an aggregator address).
 pub type WriterId = u32;
@@ -18,7 +17,7 @@ pub type RecordBytes = Vec<u8>;
 
 /// Header of a block: everything needed to verify chain linkage without the
 /// record payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockHeader {
     /// Height of the block (genesis is 0).
     pub index: u64,
@@ -49,7 +48,7 @@ impl BlockHeader {
 }
 
 /// A sealed block: header plus the record payloads it commits to.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     header: BlockHeader,
     records: Vec<RecordBytes>,

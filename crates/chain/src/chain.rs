@@ -8,7 +8,6 @@
 
 use crate::block::{Block, RecordBytes, WriterId};
 use crate::sha256::Digest;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
@@ -72,7 +71,7 @@ impl Error for ChainError {}
 /// Streaming compaction drops old blocks from memory but must keep the
 /// chain verifiable and its counters exact: the retained suffix still links
 /// to `last_hash`, and `len`/`total_records` still cover the whole history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedPrefix {
     /// Number of blocks evicted (including genesis once it is evicted).
     pub blocks: usize,
@@ -99,7 +98,7 @@ pub struct EvictedPrefix {
 /// assert_eq!(chain.len(), 2); // genesis + one sealed block
 /// assert!(chain.verify().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashChain {
     blocks: Vec<Block>,
     writers: BTreeSet<WriterId>,

@@ -9,11 +9,10 @@
 use crate::block::WriterId;
 use crate::chain::{ChainError, HashChain};
 use crate::sha256::Digest;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One typed consumption entry as committed to the ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LedgerEntry {
     /// Device the consumption belongs to.
     pub device_id: u64,
@@ -77,7 +76,7 @@ impl LedgerEntry {
 }
 
 /// Per-device totals maintained alongside the chain.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceAccount {
     /// Total charge committed for the device, in microamp-seconds.
     pub total_charge_uas: u64,
@@ -110,7 +109,7 @@ pub struct DeviceAccount {
 /// ledger.commit_block(1, 100_000).unwrap();
 /// assert_eq!(ledger.account(7).unwrap().entries, 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeteringLedger {
     chain: HashChain,
     staged: Vec<LedgerEntry>,

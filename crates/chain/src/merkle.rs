@@ -7,7 +7,6 @@
 //! per-device billing disputes — at no extra storage cost.
 
 use crate::sha256::{Digest, Sha256};
-use serde::{Deserialize, Serialize};
 
 const LEAF_PREFIX: &[u8] = b"\x00rtem-leaf";
 const NODE_PREFIX: &[u8] = b"\x01rtem-node";
@@ -47,7 +46,7 @@ pub fn merkle_root(leaves: &[Vec<u8>]) -> Digest {
 }
 
 /// One step of a Merkle inclusion proof.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProofStep {
     /// The sibling digest at this level.
     pub sibling: Digest,
@@ -56,7 +55,7 @@ pub struct ProofStep {
 }
 
 /// A Merkle inclusion proof for one leaf.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MerkleProof {
     /// Index of the proven leaf in the original list.
     pub leaf_index: usize,

@@ -7,12 +7,9 @@
 //! against the standard test vectors.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A 256-bit digest.
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest(pub [u8; 32]);
 
 impl Digest {

@@ -1,7 +1,6 @@
 //! The protocol-neutral telegram model and the typed codec error.
 
 use rtem_net::packet::{AggregatorAddr, DeviceId, MeasurementRecord};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which meter protocol family a device speaks on its access link.
@@ -11,7 +10,7 @@ use std::fmt;
 /// testbed. The other four kinds route consumption reports through the
 /// corresponding encoder before transmission and the parser on the
 /// aggregator side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MeterKind {
     /// The simulator's native record encoding; no telegram framing.
     Internal,

@@ -9,7 +9,6 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rtem_codecs::MeterKind;
 use rtem_net::packet::DeviceId;
 use rtem_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
@@ -26,7 +25,7 @@ pub fn status_topic(device: DeviceId) -> String {
 /// A two-rate tariff hint pushed to the device-local billing estimator —
 /// the firmware-sized approximation of the operator's schedule, not the
 /// aggregator's authoritative tariff.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TariffHint {
     /// Price per mWh during the daily peak window.
     pub peak_price_per_mwh: f64,
@@ -62,7 +61,7 @@ impl TariffHint {
 }
 
 /// One remote-management command an operator can address to the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FleetCommand {
     /// Change the reporting interval Tmeasure.
     SetMeasureInterval {
@@ -151,7 +150,7 @@ const TAG_ACK: u8 = 0x41;
 
 /// A command as carried on the wire: the plan-assigned sequence number
 /// (echoed back in the [`CommandAck`]) plus the command itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommandFrame {
     /// Sequence number of the originating [`ControlEvent`]
     /// (its index in the plan), echoed by device acks.
@@ -252,7 +251,7 @@ impl CommandFrame {
 }
 
 /// A device's acknowledgment of one command, published on its status topic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CommandAck {
     /// Acknowledging device.
     pub device: DeviceId,

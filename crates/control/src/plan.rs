@@ -12,10 +12,9 @@ use rtem_codecs::MeterKind;
 use rtem_net::broker::QoS;
 use rtem_net::packet::{AggregatorAddr, DeviceId};
 use rtem_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Who a control event is addressed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandTarget {
     /// Every device of the scenario.
     AllDevices,
@@ -35,7 +34,7 @@ pub enum CommandTarget {
 }
 
 /// One scheduled fleet command: when, to whom, what, and how it travels.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlEvent {
     /// When the operator publishes the command.
     pub at: SimTime,
@@ -51,7 +50,7 @@ pub struct ControlEvent {
 }
 
 /// Why a [`ControlPlan`] failed validation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ControlError {
     /// An event targets a device the scenario does not generate.
     UnknownDevice {
@@ -136,7 +135,7 @@ impl std::error::Error for ControlError {}
 ///     .validate(&devices, &networks, SimTime::from_secs(100))
 ///     .is_ok());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ControlPlan {
     /// The scheduled events, in the order they were added. An event's index
     /// is its command sequence number on the wire.

@@ -15,7 +15,6 @@ use rtem_sensors::BranchId;
 use rtem_sim::rng::SimRng;
 use rtem_sim::time::SimTime;
 use rtem_sim::trace::TimeSeries;
-use serde::{Deserialize, Serialize};
 
 /// A single network-feed meter (the centralized baseline).
 pub struct CentralizedMeter {
@@ -76,7 +75,7 @@ impl CentralizedMeter {
 
 /// Side-by-side comparison of the two metering approaches over one window,
 /// as plotted in Fig. 5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeteringComparison {
     /// Sum of device-reported charge (decentralized), mA·s.
     pub decentralized_mas: f64,
@@ -105,7 +104,7 @@ impl MeteringComparison {
 
 /// Capabilities of the two approaches, used in the qualitative part of the
 /// comparison (what the paper's architecture adds beyond accuracy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CapabilityMatrix {
     /// Can consumption be attributed to individual devices?
     pub per_device_attribution: bool,

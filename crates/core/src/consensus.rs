@@ -12,13 +12,12 @@ use rtem_chain::block::{Block, RecordBytes};
 use rtem_chain::chain::HashChain;
 use rtem_chain::sha256::Digest;
 use rtem_net::packet::DeviceId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
 /// A vote on a proposed block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Vote {
     /// The validator accepts the block.
     Approve,
@@ -53,7 +52,7 @@ impl fmt::Display for ConsensusError {
 impl Error for ConsensusError {}
 
 /// Outcome of a completed round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundOutcome {
     /// The block reached quorum and was appended to the chain.
     Committed {
@@ -77,7 +76,7 @@ pub enum RoundOutcome {
 /// validator set (the devices of one network), a configurable quorum, and
 /// one proposal in flight at a time — enough to quantify the extra latency
 /// and message cost of removing the trusted aggregator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuorumConsensus {
     validators: BTreeSet<DeviceId>,
     quorum: usize,

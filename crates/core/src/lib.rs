@@ -9,32 +9,35 @@
 //! stay billable to their home network while charging elsewhere (device
 //! mobility), and have their data stored in a consensus-free permissioned
 //! hash chain. This crate assembles the substrate crates into that
-//! architecture and provides the experiment harnesses:
+//! architecture, plus the metrics and baselines the experiments read:
 //!
 //! * [`simulation`] — the [`World`](simulation::World): devices,
 //!   aggregators, grids, MQTT broker and backhaul driven by simulated time
 //!   (the replacement for the paper's hardware testbed).
-//! * [`scenario`] — builders for the paper's testbed topology and variants.
 //! * [`metrics`] — Fig. 5 accuracy windows, Thandshake statistics, run
 //!   summaries.
-//! * [`mobility`] — the Fig. 6 mobility experiment and the 15-run
-//!   Thandshake statistic.
 //! * [`centralized`] — the centralized-metering baseline.
 //! * [`consensus`] — device-level quorum consensus (future-work extension).
 //! * [`loadbalance`] — dynamic load balancing of mobile devices
 //!   (future-work extension).
 //!
+//! Scenarios (the paper's testbed, fleets, scripted mobility) are described
+//! with the `rtem` facade's `ScenarioSpec`, which populates a `World` with
+//! devices.
+//!
 //! # Examples
 //!
 //! ```no_run
-//! use rtem_core::scenario::ScenarioBuilder;
+//! use rtem_core::simulation::{World, WorldConfig};
+//! use rtem_net::packet::AggregatorAddr;
+//! use rtem_net::rssi::Position;
 //! use rtem_sim::time::SimTime;
 //!
-//! // Build the paper's two-network testbed and run it for a minute.
-//! let mut world = ScenarioBuilder::paper_testbed(42).build();
+//! // One aggregator without devices, run for a minute.
+//! let mut world = World::new(WorldConfig::default());
+//! world.add_network(AggregatorAddr(1), Position::new(0.0, 0.0));
 //! world.run_until(SimTime::from_secs(60));
-//! let metrics = world.metrics();
-//! assert_eq!(metrics.networks.len(), 2);
+//! assert_eq!(world.metrics().networks.len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -44,12 +47,8 @@ pub mod centralized;
 pub mod consensus;
 pub mod loadbalance;
 pub mod metrics;
-pub mod mobility;
-pub mod scenario;
 pub mod simulation;
 
-// The pre-facade flat re-exports (`rtem_core::ScenarioBuilder`,
-// `rtem_core::World`, ...) were `#[doc(hidden)]` compatibility shims for one
-// release and have been removed: the supported public surface is the `rtem`
-// facade crate, and everything in this crate stays reachable through the
-// module paths (`rtem::scenario`, `rtem::simulation`, ...).
+// The supported public surface is the `rtem` facade crate; everything in
+// this crate stays reachable through its module paths (`rtem::simulation`,
+// `rtem::metrics`, ...).

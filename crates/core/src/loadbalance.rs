@@ -9,11 +9,10 @@
 //! steer to which network so that slot utilisation is evened out.
 
 use rtem_net::packet::{AggregatorAddr, DeviceId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The load state of one network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkLoad {
     /// The network's aggregator.
     pub network: AggregatorAddr,
@@ -39,7 +38,7 @@ impl NetworkLoad {
 }
 
 /// One proposed device relocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Relocation {
     /// Device to steer.
     pub device: DeviceId,
@@ -50,7 +49,7 @@ pub struct Relocation {
 }
 
 /// A load-balancing plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BalancePlan {
     /// Proposed relocations, in application order.
     pub relocations: Vec<Relocation>,

@@ -10,11 +10,10 @@ use crate::simulation::World;
 use rtem_device::network_mgmt::HandshakeBreakdown;
 use rtem_net::packet::{AggregatorAddr, DeviceId};
 use rtem_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One verification window of the Fig. 5 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyWindow {
     /// Window index (0-based).
     pub index: usize,
@@ -131,7 +130,7 @@ pub fn accuracy_windows_from(
 }
 
 /// Summary statistics over a set of handshake durations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HandshakeStats {
     /// Number of handshakes measured.
     pub count: usize,
@@ -173,7 +172,7 @@ impl HandshakeStats {
 }
 
 /// Per-network summary of a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSummary {
     /// The network's aggregator.
     pub network: AggregatorAddr,
@@ -194,7 +193,7 @@ pub struct NetworkSummary {
 }
 
 /// Whole-world summary of a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldMetrics {
     /// Simulated time at collection.
     pub now: SimTime,
@@ -253,7 +252,7 @@ impl WorldMetrics {
 
 /// Per-device consumption trace seen by one aggregator, in a plottable form
 /// (the data behind Fig. 6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceTrace {
     /// The device.
     pub device: DeviceId,

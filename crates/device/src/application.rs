@@ -10,7 +10,6 @@
 use crate::middleware::{HealthCounters, PowerState};
 use rtem_sensors::energy::{MilliampSeconds, Millivolts, MilliwattHours};
 use rtem_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A simple peak/off-peak tariff in currency units per mWh, used by the
 /// *device-local* [`BillingEstimator`] only.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// demand-charge): a device-sized firmware keeps a two-rate approximation
 /// of its operator's schedule, and the authoritative bill is always the
 /// one the home aggregator computes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tariff {
     /// Price per mWh during the peak window.
     pub peak_price_per_mwh: f64,
@@ -74,7 +73,7 @@ impl Tariff {
 /// and only approximately under the aggregator's richer structures
 /// (tiered ladders and demand charges need state only the home network
 /// has).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BillingEstimator {
     tariff: Tariff,
     supply: Millivolts,
@@ -132,7 +131,7 @@ impl BillingEstimator {
 
 /// Exponentially-weighted moving-average demand forecaster — the
 /// "demand prediction" device application the paper mentions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DemandForecaster {
     alpha: f64,
     level_ma: Option<f64>,
@@ -185,7 +184,7 @@ impl DemandForecaster {
 }
 
 /// Remote-management commands the aggregator / operator may issue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ManagementCommand {
     /// Query health counters and state.
     QueryStatus,
@@ -196,7 +195,7 @@ pub enum ManagementCommand {
 }
 
 /// Response to a remote-management command.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ManagementResponse {
     /// Current status snapshot.
     Status {

@@ -9,10 +9,9 @@
 
 use rtem_chain::sha256::{Digest, Sha256};
 use rtem_net::packet::MeasurementRecord;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of pushing a record into the store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreOutcome {
     /// The record was stored.
     Stored,
@@ -43,7 +42,7 @@ pub enum StoreOutcome {
 /// assert_eq!(batch.len(), 1);
 /// assert!(batch[0].backfilled, "retransmitted records are marked backfilled");
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LocalStore {
     capacity: usize,
     /// Backing storage. The live records are `records[head..]`; everything

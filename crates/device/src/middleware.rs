@@ -8,10 +8,9 @@
 
 use rtem_net::DeviceId;
 use rtem_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Static configuration flashed into a device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Device identity (registered with the home network).
     pub device_id: DeviceId,
@@ -58,7 +57,7 @@ impl DeviceConfig {
 }
 
 /// Coarse power/operational state of the device firmware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PowerState {
     /// Booting after power-on; not yet measuring.
     Booting,
@@ -71,7 +70,7 @@ pub enum PowerState {
 }
 
 /// Firmware health counters surfaced through remote management.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct HealthCounters {
     /// Number of reboots since manufacturing.
     pub reboots: u32,
@@ -88,7 +87,7 @@ pub struct HealthCounters {
 }
 
 /// The middleware layer: configuration + state machine + counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Middleware {
     config: DeviceConfig,
     state: PowerState,

@@ -15,7 +15,6 @@ use rtem_net::rssi::{Position, RadioEnvironment};
 use rtem_net::DeviceId;
 use rtem_sim::rng::SimRng;
 use rtem_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Durations of the handshake phases a mobile device goes through after
 /// plugging in at a new grid-location, before it can report consumption.
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// handshake lands in the 5.5–6.5 s band the paper measures (mean ≈ 6 s over
 /// 15 runs): a full 2.4 GHz Wi-Fi channel scan, association + DHCP, MQTT
 /// broker connection, then the registration exchange itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HandshakeTiming {
     /// Mean duration of the Wi-Fi scan phase.
     pub scan: SimDuration,
@@ -85,7 +84,7 @@ impl HandshakeTiming {
 
 /// Per-phase breakdown of one completed handshake, used for the Thandshake
 /// statistics of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HandshakeBreakdown {
     /// Time spent scanning for aggregators.
     pub scan: SimDuration,
@@ -107,7 +106,7 @@ impl HandshakeBreakdown {
 }
 
 /// State of the network-management state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NetState {
     /// Radio idle (device unplugged or just booted).
     Down,

@@ -12,10 +12,9 @@ use rtem_net::link::LinkConfig;
 use rtem_net::packet::{AggregatorAddr, DeviceId};
 use rtem_sensors::fault::SensorFaultKind;
 use rtem_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The seven fault families the subsystem can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultFamily {
     /// A device's sensor misbehaves (stuck-at, drift, spikes).
     Sensor,
@@ -60,7 +59,7 @@ impl fmt::Display for FaultFamily {
 /// reject the damage with a typed parse error at the aggregator; the
 /// internal record format has no checksum, so the same fault silently
 /// lands wrong values in the ledger instead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CorruptionMode {
     /// Flip `flips` random payload bits per telegram.
     BitFlip {
@@ -84,7 +83,7 @@ impl fmt::Display for CorruptionMode {
 }
 
 /// Which links a [`FaultEvent::LinkDegrade`] burst hits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkTarget {
     /// The device access links (Wi-Fi to the broker); `network` restricts
     /// the burst to the devices currently in one network, `None` hits all.
@@ -101,7 +100,7 @@ pub enum LinkTarget {
 /// Events are plain data; the world interprets them at their injection time.
 /// Families with a natural duration carry an explicit clear time so a plan
 /// reads like a timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultEvent {
     /// `device`'s sensor starts misbehaving at `at`; heals at `until`
     /// (`None` = never heals within the run).
@@ -266,7 +265,7 @@ impl FaultEvent {
 }
 
 /// The observable evidence by which an injected fault was recognized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectionSignal {
     /// The aggregator's complementary system-level measurement disagreed
     /// with the devices' reported sum (a `WindowVerdict` flagged anomalous).
@@ -320,7 +319,7 @@ pub enum DetectionSignal {
 /// `id` is the index the world assigned at scheduling time; `injected_at`
 /// is set when the fault actually takes effect (for [`FaultEvent::MeterTamper`]
 /// this can be later than the scheduled time if no record was committed yet).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRecord {
     /// Index assigned when the fault was scheduled.
     pub id: usize,

@@ -12,10 +12,9 @@ use rtem_net::link::LinkConfig;
 use rtem_net::packet::{AggregatorAddr, DeviceId};
 use rtem_sensors::fault::SensorFaultKind;
 use rtem_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Why a [`FaultPlan`] failed validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPlanError {
     /// An event targets a device the scenario does not generate.
     UnknownDevice {
@@ -131,7 +130,7 @@ impl std::error::Error for FaultPlanError {}
 ///     .validate(&devices, &networks, SimTime::from_secs(100))
 ///     .is_ok());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// The scheduled events, in the order they were added.
     pub events: Vec<FaultEvent>,

@@ -11,7 +11,6 @@ use crate::link::{LinkConfig, LinkModel, LinkTotals, Transit};
 use crate::packet::{AggregatorAddr, Packet};
 use rtem_sim::rng::SimRng;
 use rtem_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::error::Error;
@@ -43,7 +42,7 @@ impl fmt::Display for BackhaulError {
 impl Error for BackhaulError {}
 
 /// A message delivered over the backhaul.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackhaulDelivery {
     /// Destination aggregator.
     pub to: AggregatorAddr,

@@ -33,16 +33,13 @@ use crate::link::{LinkConfig, LinkModel, LinkTotals, Transit};
 use bytes::Bytes;
 use rtem_sim::rng::SimRng;
 use rtem_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::error::Error;
 use std::fmt;
 
 /// Identifier of a broker client (a device or an aggregator endpoint).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u64);
 
 impl fmt::Display for ClientId {
@@ -52,7 +49,7 @@ impl fmt::Display for ClientId {
 }
 
 /// MQTT quality-of-service level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QoS {
     /// Fire and forget.
     AtMostOnce,
@@ -86,7 +83,7 @@ impl fmt::Display for BrokerError {
 impl Error for BrokerError {}
 
 /// A message delivered to a subscriber.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Delivery {
     /// Subscriber receiving the message.
     pub to: ClientId,

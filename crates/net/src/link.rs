@@ -8,10 +8,9 @@
 
 use rtem_sim::rng::SimRng;
 use rtem_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Static description of a link's quality.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkConfig {
     /// Fixed one-way latency (propagation + protocol processing).
     pub base_latency: SimDuration,
@@ -81,7 +80,7 @@ impl Default for LinkConfig {
 }
 
 /// Outcome of offering one packet to a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transit {
     /// The packet will arrive after the contained delay.
     Delivered(SimDuration),
@@ -113,7 +112,7 @@ impl Transit {
 ///     Transit::Lost => unreachable!("ideal links never lose packets"),
 /// }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkModel {
     config: LinkConfig,
     rng: SimRng,

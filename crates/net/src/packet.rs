@@ -8,14 +8,11 @@
 //! by a microcontroller-class device.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Globally unique identifier of a device (the "ID" in Fig. 3).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(pub u64);
 
 impl fmt::Display for DeviceId {
@@ -25,9 +22,7 @@ impl fmt::Display for DeviceId {
 }
 
 /// Network address of an aggregator (the "Master/Temp Addr" in Fig. 3).
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AggregatorAddr(pub u32);
 
 impl fmt::Display for AggregatorAddr {
@@ -82,7 +77,7 @@ impl Error for DecodeError {}
 
 /// One energy measurement record as carried on the wire and stored in the
 /// ledger: who consumed, how much, and over which interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementRecord {
     /// Reporting device.
     pub device: DeviceId,
@@ -161,7 +156,7 @@ impl MeasurementRecord {
 
 /// Protocol messages exchanged between devices and aggregators (Fig. 3) plus
 /// the aggregator-to-aggregator backhaul messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Packet {
     /// Device → aggregator: membership registration request. `master` is
     /// `None` for a first (home) registration and carries the home address
@@ -276,7 +271,7 @@ pub enum Packet {
 
 /// Whether a membership is the device's permanent (master) one or a
 /// temporary membership created in a foreign network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MembershipKind {
     /// Permanent home-network membership.
     Master,
@@ -285,7 +280,7 @@ pub enum MembershipKind {
 }
 
 /// Why an aggregator rejected a registration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RejectReason {
     /// All TDMA reporting slots are occupied.
     NoFreeSlots,

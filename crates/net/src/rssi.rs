@@ -7,12 +7,11 @@
 //! is plugged in at a new grid-location.
 
 use rtem_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 use crate::packet::AggregatorAddr;
 
 /// A position on the 2-D floor plan of the simulated site, in metres.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct Position {
     /// X coordinate in metres.
     pub x: f64,
@@ -33,7 +32,7 @@ impl Position {
 }
 
 /// Log-distance path-loss propagation model with optional shadowing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLossModel {
     /// Transmit power in dBm (ESP32 default is about +20 dBm).
     pub tx_power_dbm: f64,
@@ -85,7 +84,7 @@ impl PathLossModel {
 }
 
 /// One aggregator beacon heard during a scan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanResult {
     /// Aggregator that was heard.
     pub aggregator: AggregatorAddr,
@@ -110,7 +109,7 @@ pub struct ScanResult {
 /// let best = env.best_aggregator(Position::new(5.0, 0.0), -90.0, &mut rng).unwrap();
 /// assert_eq!(best.aggregator, AggregatorAddr(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadioEnvironment {
     model: PathLossModel,
     aggregators: Vec<(AggregatorAddr, Position)>,

@@ -9,7 +9,6 @@
 
 use crate::packet::DeviceId;
 use rtem_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -53,7 +52,7 @@ impl Error for SlotError {}
 /// assert!(slot < 10);
 /// assert_eq!(table.free_slots(), 9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotTable {
     slot_duration: SimDuration,
     slots_per_frame: u16,

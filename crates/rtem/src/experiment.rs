@@ -8,7 +8,6 @@ use crate::runner::RunHandle;
 use crate::spec::{ScenarioSpec, ScriptEvent, SpecError};
 use rtem_chain::audit::audit_chain;
 use rtem_core::metrics::{accuracy_windows, WorldMetrics};
-use rtem_core::scenario::NETWORK_SPACING_M;
 use rtem_core::simulation::World;
 use rtem_sim::time::SimTime;
 
@@ -45,15 +44,7 @@ impl Experiment {
     /// [`run`](Experiment::run).
     pub fn build_world(&self) -> Result<World, SpecError> {
         self.spec.validate()?;
-        let mut world = self.spec.to_builder().build();
-        // Networks the spec declares as initially empty: same spacing as the
-        // populated ones, appended after them.
-        for i in self.spec.networks..self.spec.networks + self.spec.empty_networks {
-            world.add_network(
-                ScenarioSpec::network_addr(i),
-                rtem_net::rssi::Position::new(NETWORK_SPACING_M * f64::from(i), 0.0),
-            );
-        }
+        let mut world = self.spec.populate();
         for event in &self.spec.script {
             match *event {
                 ScriptEvent::PlugIn {

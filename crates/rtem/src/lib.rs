@@ -76,7 +76,7 @@ pub mod spec;
 pub mod suite;
 
 // Stable module paths into the composed architecture (rtem-core).
-pub use rtem_core::{centralized, consensus, loadbalance, metrics, mobility, scenario, simulation};
+pub use rtem_core::{centralized, consensus, loadbalance, metrics, simulation};
 
 // Stable module paths into the substrate crates.
 pub use rtem_aggregator as aggregator;
@@ -108,7 +108,7 @@ pub mod prelude {
     pub use crate::probe::{NullProbe, Probe, RecordingProbe, RunEvent};
     pub use crate::report::{BillLine, LedgerSummary, NetworkAccuracy, RunReport};
     pub use crate::runner::{NetworkProgress, RunHandle, RunProgress};
-    pub use crate::spec::{ScenarioSpec, ScriptEvent, SpecError};
+    pub use crate::spec::{DeviceLoad, ScenarioSpec, ScriptEvent, SpecError};
     pub use crate::suite::{
         AggregateStats, CellKey, Suite, SuiteAggregates, SuiteCell, SuiteConfig, SuiteReport,
     };
@@ -118,10 +118,6 @@ pub mod prelude {
     pub use rtem_core::metrics::{
         AccuracyWindow, DeviceTrace, HandshakeStats, NetworkSummary, WorldMetrics,
     };
-    pub use rtem_core::mobility::{
-        run_mobility, thandshake_statistics, MobilityConfig, MobilityOutcome,
-    };
-    pub use rtem_core::scenario::DeviceLoad;
     pub use rtem_core::simulation::World;
     pub use rtem_net::broker::QoS;
     pub use rtem_net::packet::{AggregatorAddr, DeviceId, MembershipKind};

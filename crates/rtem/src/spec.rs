@@ -1,31 +1,55 @@
 //! The declarative scenario description consumed by [`Experiment`].
 //!
-//! Before the facade existed, expressing an experiment meant assembling a
-//! `ScenarioBuilder`, a `WorldConfig`, a `HandshakeTiming` and an
-//! `Ina219Config` by hand and then scripting plug/unplug events directly on
-//! the built `World`. [`ScenarioSpec`] gathers all of that into one value
-//! that can be validated up front, compared, reused across runs and (being
-//! plain data) mapped onto whatever execution substrate future scaling work
-//! introduces.
+//! [`ScenarioSpec`] is the one way to describe a scenario: topology, device
+//! loads, world timing, link quality, sensor and handshake models, scripted
+//! topology changes, fault and control plans. It is plain data that can be
+//! validated up front, compared and reused across runs;
+//! [`Experiment::build_world`] lowers it onto the substrate's `World`.
 //!
 //! [`Experiment`]: crate::experiment::Experiment
+//! [`Experiment::build_world`]: crate::experiment::Experiment::build_world
 
 use core::fmt;
 use rtem_aggregator::aggregator::RetentionPolicy;
 use rtem_aggregator::billing::{Tariff, TariffError};
 use rtem_codecs::MeterKind;
 use rtem_control::plan::{ControlError, ControlEvent, ControlPlan};
-use rtem_core::scenario::{DeviceLoad, ScenarioBuilder};
-use rtem_core::simulation::WorldConfig;
+use rtem_core::simulation::{World, WorldConfig};
+use rtem_device::device::MeteringDevice;
+use rtem_device::middleware::DeviceConfig;
 use rtem_device::network_mgmt::HandshakeTiming;
 use rtem_faults::event::FaultEvent;
 use rtem_faults::plan::{FaultPlan, FaultPlanError};
 use rtem_net::link::LinkConfig;
 use rtem_net::packet::{AggregatorAddr, DeviceId};
+use rtem_net::rssi::Position;
 use rtem_sensors::ina219::Ina219Config;
+use rtem_sensors::profile::{ChargingProfile, CompositeProfile, WifiBurstProfile};
+use rtem_sim::rng::SimRng;
 use rtem_sim::time::{SimDuration, SimTime};
 use rtem_telemetry::TelemetryConfig;
 use rtem_workloads::{WorkloadError, WorkloadModel};
+
+/// Distance between neighbouring networks, in metres. The `i`-th network,
+/// populated or empty, sits at `(NETWORK_SPACING_M * i, 0)`, so scripted
+/// mobility crosses the same distances whichever networks it connects.
+const NETWORK_SPACING_M: f64 = 200.0;
+
+/// Device ids reserved per network: the `j`-th device of the `i`-th network
+/// gets id `i * DEVICE_ID_BLOCK + j + 1`, so more devices than this in one
+/// network would collide with the next network's block.
+const DEVICE_ID_BLOCK: u32 = 100;
+
+/// Which load is attached to each generated device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DeviceLoad {
+    /// An ESP32-class device charging a small battery while reporting.
+    EspCharging,
+    /// An e-scooter style fast charge.
+    EScooter,
+    /// Only the reporting firmware (idle device), the lightest load.
+    ReportingOnly,
+}
 
 /// One scripted topology change applied during a run.
 ///
@@ -330,12 +354,12 @@ impl ScenarioSpec {
     /// Address of the `i`-th network (0-based index, 1-based address, like
     /// the paper's "Network 1" / "Network 2").
     pub fn network_addr(i: u32) -> AggregatorAddr {
-        ScenarioBuilder::network_addr(i)
+        AggregatorAddr(i + 1)
     }
 
     /// Id of the `j`-th device of the `i`-th network.
     pub fn device_id(network: u32, j: u32) -> DeviceId {
-        ScenarioBuilder::device_id(network, j)
+        DeviceId(u64::from(network) * u64::from(DEVICE_ID_BLOCK) + u64::from(j) + 1)
     }
 
     /// Sets the number of networks.
@@ -583,10 +607,10 @@ impl ScenarioSpec {
                 empty_networks: self.empty_networks,
             });
         }
-        if self.networks > 1 && self.devices_per_network > rtem_core::scenario::DEVICE_ID_BLOCK {
+        if self.networks > 1 && self.devices_per_network > DEVICE_ID_BLOCK {
             return Err(SpecError::TooManyDevicesPerNetwork {
                 devices_per_network: self.devices_per_network,
-                limit: rtem_core::scenario::DEVICE_ID_BLOCK,
+                limit: DEVICE_ID_BLOCK,
             });
         }
         if self.horizon.is_zero() {
@@ -642,29 +666,75 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Lowers the spec onto the substrate-level builder. Internal to the
-    /// facade; external callers go through
-    /// [`Experiment`](crate::experiment::Experiment).
-    pub(crate) fn to_builder(&self) -> ScenarioBuilder {
-        ScenarioBuilder {
-            networks: self.networks,
-            devices_per_network: self.devices_per_network,
-            load: self.load,
-            workload: self.workload.clone(),
-            meter_kinds: self.meter_kinds.clone(),
-            world: WorldConfig {
-                t_measure: self.t_measure,
-                upstream_sample_interval: self.upstream_sample_interval,
-                verification_window: self.verification_window,
-                wifi: self.wifi,
-                backhaul: self.backhaul,
-                tariff: self.tariff.clone(),
-                seed: self.seed,
-                retention: self.retention,
-                shards: self.shards.max(1),
-            },
-            handshake: self.handshake,
-            sensor: self.sensor,
+    /// Builds the initial world: the populated networks placed
+    /// `NETWORK_SPACING_M` apart, every device plugged into its home network
+    /// at t = 0 (network-major), then the empty networks on the same line.
+    /// The order matters: `World::add_network` schedules events at t = 0,
+    /// and ties run in scheduling order.
+    pub(crate) fn populate(&self) -> World {
+        let mut world = World::new(WorldConfig {
+            t_measure: self.t_measure,
+            upstream_sample_interval: self.upstream_sample_interval,
+            verification_window: self.verification_window,
+            wifi: self.wifi,
+            backhaul: self.backhaul,
+            tariff: self.tariff.clone(),
+            seed: self.seed,
+            retention: self.retention,
+            shards: self.shards.max(1),
+        });
+        let position = |i: u32| Position::new(NETWORK_SPACING_M * f64::from(i), 0.0);
+        for n in 0..self.networks {
+            world.add_network(Self::network_addr(n), position(n));
+        }
+        let rng = SimRng::seed_from_u64(self.seed ^ 0x5CEA_A210);
+        for n in 0..self.networks {
+            for j in 0..self.devices_per_network {
+                let id = Self::device_id(n, j);
+                let ordinal = u64::from(n) * u64::from(self.devices_per_network) + u64::from(j);
+                let load = self.device_load(&rng, u64::from(n) * 1000 + u64::from(j) * 10, ordinal);
+                world.add_device(MeteringDevice::new(
+                    DeviceConfig::testbed(id),
+                    load,
+                    self.sensor,
+                    self.handshake,
+                    rtem_device::application::Tariff::default(),
+                    rng.derive(0xDE71CE + id.0),
+                ));
+                if !self.meter_kinds.is_empty() {
+                    let kind = self.meter_kinds[ordinal as usize % self.meter_kinds.len()];
+                    world.set_meter_kind(id, kind);
+                }
+                world.plug_in_now(id, Self::network_addr(n));
+            }
+        }
+        for i in self.networks..self.networks + self.empty_networks {
+            world.add_network(Self::network_addr(i), position(i));
+        }
+        world
+    }
+
+    /// The load of the device with the given `ordinal`, drawing its
+    /// randomness from `stream` and `stream + 1` of `rng`.
+    fn device_load(&self, rng: &SimRng, stream: u64, ordinal: u64) -> CompositeProfile {
+        let composite = CompositeProfile::new();
+        if let Some(workload) = &self.workload {
+            // The workload replaces the electrical load; the reporting
+            // firmware's own draw stays, exactly like the legacy shapes.
+            return composite
+                .push(workload.build_for_device(ordinal, rng.derive(stream)))
+                .push(WifiBurstProfile::esp32_reporting(rng.derive(stream + 1)));
+        }
+        match self.load {
+            DeviceLoad::EspCharging => composite
+                .push(ChargingProfile::esp32_testbed(rng.derive(stream)))
+                .push(WifiBurstProfile::esp32_reporting(rng.derive(stream + 1))),
+            DeviceLoad::EScooter => composite
+                .push(ChargingProfile::e_scooter(rng.derive(stream)))
+                .push(WifiBurstProfile::esp32_reporting(rng.derive(stream + 1))),
+            DeviceLoad::ReportingOnly => {
+                composite.push(WifiBurstProfile::esp32_reporting(rng.derive(stream)))
+            }
         }
     }
 }
@@ -871,5 +941,94 @@ mod tests {
         assert_eq!(spec.device_ids().len(), 4);
         assert_eq!(spec.network_addrs().len(), 2);
         assert_eq!(spec.network_addrs()[0], AggregatorAddr(1));
+    }
+
+    fn build(spec: ScenarioSpec) -> World {
+        crate::experiment::Experiment::new(spec)
+            .build_world()
+            .unwrap()
+    }
+
+    #[test]
+    fn paper_testbed_has_expected_shape() {
+        let spec = ScenarioSpec::paper_testbed(7);
+        let world = build(spec.clone());
+        assert_eq!(world.network_addresses(), spec.network_addrs());
+        assert_eq!(world.device_ids(), spec.device_ids());
+        for n in 0..2 {
+            for j in 0..2 {
+                let id = ScenarioSpec::device_id(n, j);
+                assert_eq!(
+                    world.device_network(id),
+                    Some(ScenarioSpec::network_addr(n))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn single_network_scales_device_count() {
+        let world = build(ScenarioSpec::single_network(6, 1));
+        assert_eq!(world.network_addresses().len(), 1);
+        assert_eq!(world.device_ids().len(), 6);
+    }
+
+    #[test]
+    fn ids_are_unique_across_networks() {
+        let a = ScenarioSpec::device_id(0, 0);
+        let b = ScenarioSpec::device_id(1, 0);
+        let c = ScenarioSpec::device_id(0, 1);
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_ne!(b, c);
+    }
+
+    #[test]
+    fn customization_reaches_the_world_config() {
+        let spec = ScenarioSpec::paper_testbed(9)
+            .with_verification_window(SimDuration::from_secs(5))
+            .with_bounded_memory(3)
+            .with_shards(2);
+        let world = build(spec);
+        let config = world.config();
+        assert_eq!(config.seed, 9);
+        assert_eq!(config.verification_window, SimDuration::from_secs(5));
+        assert_eq!(config.retention, RetentionPolicy::ActiveWindows(3));
+        assert_eq!(config.shards, 2);
+    }
+
+    #[test]
+    fn meter_kinds_assign_round_robin_by_ordinal() {
+        let world = build(
+            ScenarioSpec::paper_testbed(3)
+                .with_meter_kinds(vec![MeterKind::Iec62056, MeterKind::Sml]),
+        );
+        // Two networks x two devices = ordinals 0..4 in network-major order.
+        for n in 0..2 {
+            assert_eq!(
+                world.meter_kind(ScenarioSpec::device_id(n, 0)),
+                MeterKind::Iec62056
+            );
+            assert_eq!(
+                world.meter_kind(ScenarioSpec::device_id(n, 1)),
+                MeterKind::Sml
+            );
+        }
+    }
+
+    #[test]
+    fn default_fleet_speaks_internal() {
+        let world = build(ScenarioSpec::paper_testbed(3));
+        for id in world.device_ids() {
+            assert_eq!(world.meter_kind(id), MeterKind::Internal);
+        }
+    }
+
+    #[test]
+    fn same_seed_builds_identical_initial_conditions() {
+        let a = build(ScenarioSpec::paper_testbed(5));
+        let b = build(ScenarioSpec::paper_testbed(5));
+        assert_eq!(a.device_ids(), b.device_ids());
+        assert_eq!(a.network_addresses(), b.network_addresses());
     }
 }

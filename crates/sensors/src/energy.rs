@@ -9,7 +9,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Mul, Neg, Sub};
 use rtem_sim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Electrical current in milliamperes.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let load = Milliamps::new(120.0) + Milliamps::new(30.0);
 /// assert_eq!(load.value(), 150.0);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Milliamps(f64);
 
 impl Milliamps {
@@ -102,7 +101,7 @@ impl Sum for Milliamps {
 }
 
 /// Electrical potential in millivolts.
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Millivolts(f64);
 
 impl Millivolts {
@@ -135,7 +134,7 @@ impl fmt::Display for Millivolts {
 
 /// Charge in milliampere-seconds (mA·s), the unit the testbed accumulates
 /// between reports.
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct MilliampSeconds(f64);
 
 impl MilliampSeconds {
@@ -205,7 +204,7 @@ impl Sum for MilliampSeconds {
 }
 
 /// Energy in milliwatt-hours, the billing unit.
-#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
 pub struct MilliwattHours(f64);
 
 impl MilliwattHours {
@@ -273,7 +272,7 @@ impl Sum for MilliwattHours {
 /// }
 /// assert!((acc.charge().value() - 100.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyAccumulator {
     voltage: Millivolts,
     charge: MilliampSeconds,

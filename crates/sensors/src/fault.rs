@@ -14,10 +14,9 @@
 
 use crate::energy::Milliamps;
 use rtem_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The shape of a sensor fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SensorFaultKind {
     /// The reading is stuck at a constant level regardless of the true load
     /// (a latched ADC, or tampered firmware reporting a flat value).
@@ -43,7 +42,7 @@ pub enum SensorFaultKind {
 
 /// An active sensor fault: a [`SensorFaultKind`] plus the time it started,
 /// which anchors time-dependent shapes (drift, spikes).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorFault {
     /// The fault's shape.
     pub kind: SensorFaultKind,

@@ -14,15 +14,14 @@
 //! observed in the paper.
 
 use crate::energy::{Milliamps, Millivolts};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifier of a branch (one device connection) within a grid network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BranchId(pub u32);
 
 /// Electrical parameters of one branch of the star network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Branch {
     /// Series resistance of the branch wiring and connectors, in ohms.
     pub series_resistance_ohm: f64,
@@ -73,7 +72,7 @@ impl Branch {
 }
 
 /// Result of evaluating the grid at one instant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridSnapshot {
     /// Sum of the true device load currents.
     pub device_total: Milliamps,
@@ -111,7 +110,7 @@ impl GridSnapshot {
 /// let snap = grid.evaluate(&[(a, Milliamps::new(150.0)), (b, Milliamps::new(120.0))]);
 /// assert!(snap.upstream_total > snap.device_total);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct GridNetwork {
     branches: BTreeMap<BranchId, Branch>,
     next_id: u32,

@@ -17,13 +17,12 @@
 
 use crate::energy::Milliamps;
 use rtem_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Programmable gain / shunt range settings of the INA219.
 ///
 /// The testbed uses the default ±3.2 A range with a 0.1 Ω shunt; the finer
 /// ranges are included for the error-decomposition ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShuntRange {
     /// ±40 mV shunt voltage range (±400 mA with the standard 0.1 Ω shunt).
     Pga40mV,
@@ -55,7 +54,7 @@ impl ShuntRange {
 }
 
 /// Configuration of an [`Ina219Model`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ina219Config {
     /// Constant additive offset error in mA. The datasheet (and the paper)
     /// give 0.5 mA as the maximum offset at the testbed operating point.
@@ -114,7 +113,7 @@ impl Ina219Config {
 /// let reading = sensor.measure(Milliamps::new(120.0));
 /// assert!((reading.value() - 120.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ina219Model {
     config: Ina219Config,
     rng: SimRng,

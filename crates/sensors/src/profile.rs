@@ -13,7 +13,6 @@
 use crate::energy::Milliamps;
 use rtem_sim::rng::SimRng;
 use rtem_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A source of ground-truth current draw.
 pub trait LoadProfile {
@@ -40,7 +39,7 @@ pub trait LoadProfile {
 /// let mut idle = ConstantProfile::new(12.0);
 /// assert_eq!(idle.current_at(SimTime::ZERO).value(), 12.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConstantProfile {
     level_ma: f64,
     ripple_ma: f64,
@@ -94,7 +93,7 @@ impl LoadProfile for ConstantProfile {
 }
 
 /// Phases of a lithium-ion charge cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChargePhase {
     /// Constant-current bulk charging.
     ConstantCurrent,
@@ -110,7 +109,7 @@ pub enum ChargePhase {
 /// During the constant-current phase the device draws `cc_current_ma`; once
 /// the taper starts the current decays exponentially towards the termination
 /// threshold, after which only the idle draw remains.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChargingProfile {
     cc_current_ma: f64,
     idle_ma: f64,
@@ -221,7 +220,7 @@ impl LoadProfile for ChargingProfile {
 
 /// An IoT duty-cycle profile: a low sleep current with periodic Wi-Fi
 /// transmission bursts, the "device reports every Tmeasure" workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WifiBurstProfile {
     sleep_ma: f64,
     burst_ma: f64,
@@ -354,7 +353,7 @@ impl LoadProfile for CompositeProfile {
 /// Delays an inner profile so that its local time starts at `start`:
 /// before `start` only `off_current` (usually zero) is drawn. Used to model
 /// a device that plugs in at an arbitrary simulation time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShiftedProfile<P> {
     inner: P,
     start: SimTime,

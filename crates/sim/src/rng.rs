@@ -4,12 +4,8 @@
 //! scan jitter, packet loss, load variability) draw from a [`SimRng`] seeded
 //! from the scenario configuration, so every experiment is exactly
 //! reproducible run-to-run. The generator is a `SplitMix64`-seeded
-//! `xoshiro256**`, implemented locally so that the statistical stream does not
-//! change when the `rand` crate is upgraded; the `rand` traits are still
-//! implemented so the generator composes with `rand::distributions`.
-
-use rand::RngCore;
-use serde::{Deserialize, Serialize};
+//! `xoshiro256**`, implemented locally so that the statistical stream is
+//! pinned by this file alone and no external crate can change it.
 
 /// Deterministic simulation random number generator (xoshiro256**).
 ///
@@ -22,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// let mut b = SimRng::seed_from_u64(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimRng {
     state: [u64; 4],
 }
@@ -140,33 +136,6 @@ impl SimRng {
     }
 }
 
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&SimRng::next_u64(self).to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = SimRng::next_u64(self).to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,14 +220,5 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 2.0).abs() < 0.1, "sample mean {mean}");
-    }
-
-    #[test]
-    fn fill_bytes_fills_every_byte() {
-        let mut rng = SimRng::seed_from_u64(10);
-        let mut buf = [0u8; 37];
-        rng.fill_bytes(&mut buf);
-        // Extremely unlikely that more than half the bytes stay zero.
-        assert!(buf.iter().filter(|&&b| b != 0).count() > 18);
     }
 }

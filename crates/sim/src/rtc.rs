@@ -8,13 +8,12 @@
 //! metering pipeline studied.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a real-time clock's error terms.
 ///
 /// The defaults model a DS3231: ±2 ppm frequency error over the commercial
 /// temperature range and a small aging term.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RtcConfig {
     /// Constant frequency error in parts-per-million. Positive runs fast.
     pub frequency_error_ppm: f64,
@@ -62,7 +61,7 @@ impl RtcConfig {
 /// let now = SimTime::from_secs(60);
 /// assert_eq!(rtc.local_time(now), now);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RtcModel {
     config: RtcConfig,
     /// Correction applied by the last synchronization, in microseconds

@@ -10,7 +10,6 @@
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// Number of microseconds per second.
 pub const MICROS_PER_SEC: u64 = 1_000_000;
@@ -28,9 +27,7 @@ pub const MICROS_PER_MILLI: u64 = 1_000;
 /// assert_eq!(t_measure.as_micros(), 100_000);
 /// assert_eq!(t_measure * 10, SimDuration::from_secs(1));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimDuration {
     micros: u64,
 }
@@ -203,9 +200,7 @@ impl Div<u64> for SimDuration {
 /// let later = start + SimDuration::from_secs(5);
 /// assert_eq!(later.duration_since(start), SimDuration::from_secs(5));
 /// ```
-#[derive(
-    Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SimTime {
     micros_since_epoch: u64,
 }

@@ -8,11 +8,10 @@
 //! CSV export).
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One recorded sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     /// When the sample was taken.
     pub at: SimTime,
@@ -21,7 +20,7 @@ pub struct Sample {
 }
 
 /// Summary statistics over a set of samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesStats {
     /// Number of samples.
     pub count: usize,
@@ -41,7 +40,7 @@ pub struct SeriesStats {
 /// order, so [`TimeSeries::sum`] and [`TimeSeries::stats`] on a pruned
 /// series reproduce the unpruned results bit-for-bit (same float operations
 /// in the same order) for `count`, `sum`, `mean`, `min` and `max`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PrunedPrefix {
     count: usize,
     sum: f64,
@@ -64,7 +63,7 @@ struct PrunedPrefix {
 /// assert_eq!(series.len(), 2);
 /// assert!((series.stats().mean - 119.25).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     name: String,
     samples: Vec<Sample>,

@@ -11,7 +11,6 @@ use crate::profiles::{
 use core::fmt;
 use rtem_sensors::profile::LoadProfile;
 use rtem_sim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Why a [`WorkloadModel`] failed validation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +102,7 @@ impl std::error::Error for WorkloadError {}
 /// let noon = profile.current_at(SimTime::from_secs(12 * 3600));
 /// assert!(noon.value() >= 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadModel {
     /// A home: always-on base draw, morning and evening occupancy peaks,
     /// plus stochastic appliance events (kettle, washer, oven).
