@@ -210,11 +210,15 @@ impl MeteringLedger {
     /// (all entries unless a prefix was evicted). Intended for audits and
     /// offline analysis, not the hot path.
     pub fn all_entries(&self) -> Vec<LedgerEntry> {
+        self.resident_entries().collect()
+    }
+
+    /// Decodes the resident committed entries lazily, in commit order.
+    fn resident_entries(&self) -> impl Iterator<Item = LedgerEntry> + '_ {
         self.chain
             .iter()
             .flat_map(|b| b.records().iter())
             .filter_map(|r| LedgerEntry::from_bytes(r))
-            .collect()
     }
 
     /// Evicts every committed block sealed strictly before `timestamp_us`
@@ -243,7 +247,7 @@ impl MeteringLedger {
     /// or the account cache was corrupted.
     pub fn accounts_match_chain(&self) -> bool {
         let mut recomputed: BTreeMap<u64, u64> = self.evicted_charge_uas.clone();
-        for entry in self.all_entries() {
+        for entry in self.resident_entries() {
             *recomputed.entry(entry.device_id).or_default() += entry.charge_uas;
         }
         if recomputed.len() != self.accounts.len() {
@@ -260,6 +264,7 @@ impl MeteringLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{audit_chain, Finding, FindingKind};
 
     fn entry(device: u64, seq: u64, charge: u64) -> LedgerEntry {
         LedgerEntry {
@@ -357,6 +362,46 @@ mod tests {
         assert!(!ledger.accounts_match_chain());
         // And the chain itself no longer verifies.
         assert!(ledger.chain().verify().is_err());
+    }
+
+    #[test]
+    fn tampering_is_detected_at_every_lane_position() {
+        // 803 records hash as 50 lane batches plus a 3-leaf tail, and the
+        // levels above them have odd sizes (201, 101, 51, 13, 7).
+        let mut ledger = MeteringLedger::new(1, 0);
+        ledger.stage(entry(1, 0, 100));
+        ledger.commit_block(1, 1_000).unwrap();
+        for i in 0..803 {
+            ledger.stage(entry(i % 8, i / 8 + 1, 1_000 + i));
+        }
+        ledger.commit_block(1, 2_000).unwrap();
+        ledger.stage(entry(1, 200, 100));
+        ledger.commit_block(1, 3_000).unwrap();
+        let anchor = ledger.chain().head_hash();
+        assert!(audit_chain(ledger.chain(), Some(anchor)).is_clean());
+        assert!(ledger.accounts_match_chain());
+
+        for index in [0, 15, 16, 401, 799, 800, 802] {
+            let mut tampered = ledger.clone();
+            let block = tampered
+                .chain_mut_for_experiment()
+                .block_mut_for_experiment(2)
+                .unwrap();
+            let mut record = block.records()[index].clone();
+            record[40] ^= 1; // lowest byte of `charge_uas`
+            block.tamper_record_for_experiment(index, record);
+            let report = audit_chain(tampered.chain(), Some(anchor));
+            assert_eq!(
+                report.findings,
+                vec![Finding {
+                    block_index: 2,
+                    kind: FindingKind::RecordMismatch,
+                    timestamp_us: 2_000,
+                }],
+                "record {index}"
+            );
+            assert!(!tampered.accounts_match_chain(), "record {index}");
+        }
     }
 
     #[test]
