@@ -61,6 +61,23 @@ pub enum RetentionPolicy {
     ActiveWindows(usize),
 }
 
+impl RetentionPolicy {
+    /// The horizon a window seal at `now` prunes resident history to:
+    /// samples and blocks older than the returned time may go. `None` under
+    /// [`KeepAll`](Self::KeepAll) and while the run is younger than the
+    /// active windows. `window` is the verification-window length.
+    /// [`Aggregator::compact`] and the world's device-series pruning both
+    /// cut here, so every bounded store keeps the same horizon.
+    pub fn cutoff(self, now: SimTime, window: SimDuration) -> Option<SimTime> {
+        let RetentionPolicy::ActiveWindows(keep) = self else {
+            return None;
+        };
+        let keep_us = window.as_micros().max(1).saturating_mul(keep.max(2) as u64);
+        let cutoff_us = now.as_micros().checked_sub(keep_us)?;
+        (cutoff_us > 0).then(|| SimTime::from_micros(cutoff_us))
+    }
+}
+
 /// Configuration of an aggregator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AggregatorConfig {
@@ -631,17 +648,11 @@ impl Aggregator {
     /// reports (see the sealed-summary fields and
     /// [`TimeSeries::prune_before`]).
     pub fn compact(&mut self, policy: RetentionPolicy, now: SimTime, window: SimDuration) {
-        let RetentionPolicy::ActiveWindows(keep) = policy else {
+        let Some(cutoff) = policy.cutoff(now, window) else {
             return;
         };
         let window_us = window.as_micros().max(1);
-        let keep_us = window_us.saturating_mul(keep.max(2) as u64);
-        let Some(cutoff_us) = now.as_micros().checked_sub(keep_us) else {
-            return;
-        };
-        if cutoff_us == 0 {
-            return;
-        }
+        let cutoff_us = cutoff.as_micros();
         // Ledger: evict sealed blocks, folding each evicted entry into its
         // accuracy window's sealed per-device accumulator in commit order.
         let sealed = &mut self.sealed_per_device;
@@ -655,7 +666,6 @@ impl Aggregator {
         });
         // Series: pre-integrate the accuracy windows that fall entirely
         // below the cutoff, then drop their samples.
-        let cutoff = SimTime::from_micros(cutoff_us);
         for w in self.series_sealed_windows..cutoff_us / window_us {
             let start = SimTime::from_micros(w * window_us);
             let end = SimTime::from_micros((w + 1) * window_us);

@@ -18,7 +18,7 @@
 
 use rtem_net::packet::DeviceId;
 use rtem_sensors::energy::Milliamps;
-use std::collections::BTreeMap;
+use std::collections::{vec_deque, BTreeMap, VecDeque};
 
 /// Configuration of the window verifier.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,7 +122,10 @@ pub struct EntropyDetector {
     bin_width_ma: f64,
     history_len: usize,
     recent_len: usize,
-    histories: BTreeMap<DeviceId, Vec<f64>>,
+    /// Each device's last `history_len + recent_len` reports, oldest first.
+    /// A ring, so recording a report past the bound pops one value and
+    /// pushes one: O(1) however long the window.
+    histories: BTreeMap<DeviceId, VecDeque<f64>>,
 }
 
 impl EntropyDetector {
@@ -154,16 +157,15 @@ impl EntropyDetector {
     /// Feeds one reported mean current for `device`.
     pub fn observe(&mut self, device: DeviceId, mean_current_ma: f64) {
         let history = self.histories.entry(device).or_default();
-        history.push(mean_current_ma);
-        let max_len = self.history_len + self.recent_len;
-        if history.len() > max_len {
-            let excess = history.len() - max_len;
-            history.drain(..excess);
+        if history.len() == self.history_len + self.recent_len {
+            history.pop_front();
         }
+        history.push_back(mean_current_ma);
     }
 
-    fn shannon_entropy(&self, values: &[f64]) -> f64 {
-        if values.is_empty() {
+    fn shannon_entropy(&self, values: vec_deque::Iter<'_, f64>) -> f64 {
+        let n = values.len();
+        if n == 0 {
             return 0.0;
         }
         let mut bins: BTreeMap<i64, usize> = BTreeMap::new();
@@ -171,7 +173,7 @@ impl EntropyDetector {
             let bin = (v / self.bin_width_ma).floor() as i64;
             *bins.entry(bin).or_default() += 1;
         }
-        let n = values.len() as f64;
+        let n = n as f64;
         bins.values()
             .map(|&count| {
                 let p = count as f64 / n;
@@ -186,7 +188,7 @@ impl EntropyDetector {
         if history.len() < self.recent_len {
             return None;
         }
-        Some(self.shannon_entropy(&history[history.len() - self.recent_len..]))
+        Some(self.shannon_entropy(history.range(history.len() - self.recent_len..)))
     }
 
     /// Returns `true` when the device's recent reports look suspicious:
@@ -199,11 +201,13 @@ impl EntropyDetector {
         if history.len() < self.recent_len * 2 {
             return false;
         }
-        let (old, recent) = history.split_at(history.len() - self.recent_len);
-        let old_entropy = self.shannon_entropy(old);
-        let recent_entropy = self.shannon_entropy(recent);
-        let old_mean: f64 = old.iter().sum::<f64>() / old.len() as f64;
-        let recent_mean: f64 = recent.iter().sum::<f64>() / recent.len() as f64;
+        let split = history.len() - self.recent_len;
+        let old = history.range(..split);
+        let recent = history.range(split..);
+        let old_entropy = self.shannon_entropy(old.clone());
+        let recent_entropy = self.shannon_entropy(recent.clone());
+        let old_mean: f64 = old.sum::<f64>() / split as f64;
+        let recent_mean: f64 = recent.sum::<f64>() / self.recent_len as f64;
         recent_entropy < 0.5 * old_entropy && recent_mean < 0.5 * old_mean
     }
 
@@ -221,6 +225,127 @@ impl EntropyDetector {
 mod tests {
     use super::*;
     use rtem_sim::rng::SimRng;
+
+    /// The detector before its windows became rings: each history a `Vec`
+    /// shifted by `drain` once it outgrows the bound. Kept verbatim as the
+    /// oracle the ring must match bit for bit.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct VecEntropyDetector {
+        bin_width_ma: f64,
+        history_len: usize,
+        recent_len: usize,
+        histories: BTreeMap<DeviceId, Vec<f64>>,
+    }
+
+    impl VecEntropyDetector {
+        pub fn new(bin_width_ma: f64, history_len: usize, recent_len: usize) -> Self {
+            assert!(bin_width_ma > 0.0, "bin width must be positive");
+            assert!(
+                history_len > 0 && recent_len > 0,
+                "windows must be non-empty"
+            );
+            VecEntropyDetector {
+                bin_width_ma,
+                history_len,
+                recent_len,
+                histories: BTreeMap::new(),
+            }
+        }
+
+        pub fn observe(&mut self, device: DeviceId, mean_current_ma: f64) {
+            let history = self.histories.entry(device).or_default();
+            history.push(mean_current_ma);
+            let max_len = self.history_len + self.recent_len;
+            if history.len() > max_len {
+                let excess = history.len() - max_len;
+                history.drain(..excess);
+            }
+        }
+
+        fn shannon_entropy(&self, values: &[f64]) -> f64 {
+            if values.is_empty() {
+                return 0.0;
+            }
+            let mut bins: BTreeMap<i64, usize> = BTreeMap::new();
+            for v in values {
+                let bin = (v / self.bin_width_ma).floor() as i64;
+                *bins.entry(bin).or_default() += 1;
+            }
+            let n = values.len() as f64;
+            bins.values()
+                .map(|&count| {
+                    let p = count as f64 / n;
+                    -p * p.log2()
+                })
+                .sum()
+        }
+
+        pub fn recent_entropy(&self, device: DeviceId) -> Option<f64> {
+            let history = self.histories.get(&device)?;
+            if history.len() < self.recent_len {
+                return None;
+            }
+            Some(self.shannon_entropy(&history[history.len() - self.recent_len..]))
+        }
+
+        pub fn is_suspicious(&self, device: DeviceId) -> bool {
+            let Some(history) = self.histories.get(&device) else {
+                return false;
+            };
+            if history.len() < self.recent_len * 2 {
+                return false;
+            }
+            let (old, recent) = history.split_at(history.len() - self.recent_len);
+            let old_entropy = self.shannon_entropy(old);
+            let recent_entropy = self.shannon_entropy(recent);
+            let old_mean: f64 = old.iter().sum::<f64>() / old.len() as f64;
+            let recent_mean: f64 = recent.iter().sum::<f64>() / recent.len() as f64;
+            recent_entropy < 0.5 * old_entropy && recent_mean < 0.5 * old_mean
+        }
+
+        pub fn suspicious_devices(&self) -> Vec<DeviceId> {
+            self.histories
+                .keys()
+                .copied()
+                .filter(|&d| self.is_suspicious(d))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn ring_window_matches_the_shifting_vec_oracle() {
+        let mut ring = EntropyDetector::testbed();
+        let mut oracle = VecEntropyDetector::new(5.0, 600, 100);
+        let mut rng = SimRng::seed_from_u64(21);
+        let devices = [DeviceId(1), DeviceId(2), DeviceId(3)];
+        for i in 0..2_000 {
+            for device in devices {
+                // Device 3's firmware collapses to a low constant for its
+                // last 150 reports, well past the 700-report bound.
+                let value = if device == DeviceId(3) && i >= 1_850 {
+                    20.0
+                } else {
+                    rng.uniform(40.0, 400.0)
+                };
+                ring.observe(device, value);
+                oracle.observe(device, value);
+                assert!(
+                    ring.histories[&device]
+                        .iter()
+                        .eq(&oracle.histories[&device]),
+                    "report {i} of {device:?}: the windows differ"
+                );
+                assert_eq!(
+                    ring.recent_entropy(device).map(f64::to_bits),
+                    oracle.recent_entropy(device).map(f64::to_bits),
+                    "report {i} of {device:?}"
+                );
+                assert_eq!(ring.is_suspicious(device), oracle.is_suspicious(device));
+                assert_eq!(ring.suspicious_devices(), oracle.suspicious_devices());
+            }
+        }
+        assert_eq!(ring.suspicious_devices(), vec![DeviceId(3)]);
+    }
 
     #[test]
     fn honest_reports_within_tolerance_pass() {

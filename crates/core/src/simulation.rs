@@ -36,6 +36,7 @@ use rtem_telemetry::{
     CodecFailureTable, DispatchProfiler, MetricId, MetricsRegistry, TelemetryConfig,
     TelemetryReport, TraceLog,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Events driving the world.
@@ -331,6 +332,9 @@ struct NetworkSite {
     grid: GridNetwork,
     position: Position,
     client: ClientId,
+    /// The topic this site's aggregator subscribes to and its members
+    /// publish reports on, formatted once when the network is added.
+    uplink_topic: String,
     /// Devices currently plugged into this network's grid, with the branch
     /// each occupies. Mirrors the global `device_sites` map so per-network
     /// work (upstream sampling, outage failover, consensus validator sets)
@@ -338,6 +342,14 @@ struct NetworkSite {
     /// device in the world. Keyed by device id, so iteration order matches
     /// the whole-population scans this index replaced.
     members: BTreeMap<DeviceId, BranchId>,
+}
+
+/// A device's broker session, fixed when the device joins the world.
+struct DeviceClient {
+    id: ClientId,
+    /// The topic the device subscribes to and its aggregator publishes acks
+    /// and grants on, formatted once so no downlink publish formats it.
+    downlink_topic: String,
 }
 
 /// What a broker [`ClientId`] resolves to — maintained on device/network
@@ -504,7 +516,7 @@ pub struct World {
     config: WorldConfig,
     scheduler: Scheduler<WorldEvent>,
     devices: BTreeMap<DeviceId, MeteringDevice>,
-    device_clients: BTreeMap<DeviceId, ClientId>,
+    device_clients: BTreeMap<DeviceId, DeviceClient>,
     device_sites: BTreeMap<DeviceId, (AggregatorAddr, BranchId)>,
     sites: BTreeMap<AggregatorAddr, NetworkSite>,
     broker: MqttBroker,
@@ -889,9 +901,10 @@ impl World {
             self.rng.derive(0xA000 + u64::from(addr.0)),
         );
         let client = aggregator_client(addr);
+        let uplink_topic = uplink_topic(addr);
         self.broker.connect(client, LinkConfig::ideal());
         self.broker
-            .subscribe(client, &uplink_topic(addr))
+            .subscribe(client, &uplink_topic)
             .expect("aggregator subscription");
         self.backhaul.join(addr);
         for &other in self.sites.keys() {
@@ -906,6 +919,7 @@ impl World {
                 grid: GridNetwork::new(),
                 position,
                 client,
+                uplink_topic,
                 members: BTreeMap::new(),
             },
         );
@@ -927,11 +941,18 @@ impl World {
         let id = device.id();
         device.boot(self.now());
         let client = device_client(id);
+        let downlink_topic = downlink_topic(id);
         self.broker.connect(client, self.config.wifi);
         self.broker
-            .subscribe(client, &downlink_topic(id))
+            .subscribe(client, &downlink_topic)
             .expect("device subscription");
-        self.device_clients.insert(id, client);
+        self.device_clients.insert(
+            id,
+            DeviceClient {
+                id: client,
+                downlink_topic,
+            },
+        );
         self.client_endpoints.insert(client, Endpoint::Device(id));
         self.devices.insert(id, device);
         // Start the measurement timer.
@@ -1061,7 +1082,7 @@ impl World {
         self.broker.connect(manager_client(), LinkConfig::ideal());
         let device_ids: Vec<DeviceId> = self.devices.keys().copied().collect();
         for id in &device_ids {
-            let client = self.device_clients[id];
+            let client = self.device_clients[id].id;
             self.broker
                 .subscribe_at(client, &command_topic(*id), now)
                 .expect("device command subscription");
@@ -1708,14 +1729,19 @@ impl World {
                     // Streaming compaction runs after every hook that reads
                     // the resident window: under a bounded retention policy
                     // the sealed blocks older than the active horizon are
-                    // folded into summaries and evicted. Free under the
-                    // default keep-all policy.
+                    // folded into summaries and evicted, and the members'
+                    // measured series prune to the same horizon. Free under
+                    // the default keep-all policy.
                     if let Some(site) = self.sites.get_mut(&addr) {
-                        site.aggregator.compact(
-                            self.config.retention,
-                            now,
-                            self.config.verification_window,
-                        );
+                        let window = self.config.verification_window;
+                        site.aggregator.compact(self.config.retention, now, window);
+                        if let Some(cutoff) = self.config.retention.cutoff(now, window) {
+                            for id in site.members.keys() {
+                                if let Some(device) = self.devices.get_mut(id) {
+                                    device.prune_series_before(cutoff);
+                                }
+                            }
+                        }
                     }
                 }
                 self.scheduler.schedule(
@@ -1846,7 +1872,7 @@ impl World {
             seq: frame.seq,
             applied,
         };
-        let client = self.device_clients[&device_id];
+        let client = self.device_clients[&device_id].id;
         let _ = self.broker.publish(
             client,
             &status_topic(device_id),
@@ -2117,11 +2143,15 @@ impl World {
         now: SimTime,
     ) {
         let packet = self.lower_to_wire(device_id, packet, now);
-        let client = self.device_clients[&device_id];
+        let client = self.device_clients[&device_id].id;
         let payload = packet.encode();
+        let topic: Cow<'_, str> = match self.sites.get(&to) {
+            Some(site) => Cow::Borrowed(&site.uplink_topic),
+            None => Cow::Owned(uplink_topic(to)),
+        };
         let _ = self
             .broker
-            .publish(client, &uplink_topic(to), payload, QoS::AtLeastOnce, now);
+            .publish(client, &topic, payload, QoS::AtLeastOnce, now);
         self.arm_broker_poll(now);
     }
 
@@ -2299,13 +2329,13 @@ impl World {
         };
         let site_client = self.sites[&from].client;
         let payload = packet.encode();
-        let _ = self.broker.publish(
-            site_client,
-            &downlink_topic(device),
-            payload,
-            QoS::AtLeastOnce,
-            now,
-        );
+        let topic: Cow<'_, str> = match self.device_clients.get(&device) {
+            Some(client) => Cow::Borrowed(&client.downlink_topic),
+            None => Cow::Owned(downlink_topic(device)),
+        };
+        let _ = self
+            .broker
+            .publish(site_client, &topic, payload, QoS::AtLeastOnce, now);
         self.arm_broker_poll(now);
     }
 
@@ -2514,9 +2544,9 @@ impl World {
                                 .get(&n)
                                 .into_iter()
                                 .flat_map(|site| site.members.keys())
-                                .map(|dev| self.device_clients[dev])
+                                .map(|dev| self.device_clients[dev].id)
                                 .collect(),
-                            None => self.device_clients.values().copied().collect(),
+                            None => self.device_clients.values().map(|c| c.id).collect(),
                         };
                         clients.extend(
                             self.sites
@@ -2567,8 +2597,8 @@ impl World {
                     return;
                 };
                 d.crash(now);
-                if let Some(&client) = self.device_clients.get(&device) {
-                    self.broker.disconnect(client);
+                if let Some(client) = self.device_clients.get(&device) {
+                    self.broker.disconnect(client.id);
                 }
                 self.note_fault_injected(id, now);
             }
@@ -2651,7 +2681,7 @@ impl World {
                 if let Some(d) = self.devices.get_mut(&device) {
                     d.restart(now);
                 }
-                if let Some(&client) = self.device_clients.get(&device) {
+                if let Some(client) = self.device_clients.get(&device).map(|c| c.id) {
                     // Resume the MQTT session in place: a link burst active
                     // across the reboot keeps degrading this client, and
                     // its offered/lost history survives. The broker replays
@@ -3131,8 +3161,13 @@ mod tests {
     }
 
     fn single_network_world(devices: u64) -> World {
+        single_network_world_with(RetentionPolicy::KeepAll, devices)
+    }
+
+    fn single_network_world_with(retention: RetentionPolicy, devices: u64) -> World {
         let mut world = World::new(WorldConfig {
             verification_window: SimDuration::from_secs(5),
+            retention,
             ..WorldConfig::default()
         });
         world.add_network(AggregatorAddr(1), Position::new(0.0, 0.0));
@@ -3242,6 +3277,35 @@ mod tests {
         // Times are monotone (dispatch order) and the buffer is drained.
         assert!(notifications.windows(2).all(|w| w[0].at() <= w[1].at()));
         assert!(world.take_notifications().is_empty());
+    }
+
+    #[test]
+    fn bounded_retention_prunes_device_series_to_the_active_windows() {
+        let keep = 2;
+        let mut bounded = single_network_world_with(RetentionPolicy::ActiveWindows(keep), 3);
+        let mut keep_all = single_network_world(3);
+        let config = bounded.config().clone();
+        let horizon = SimTime::ZERO + config.verification_window * 10;
+        bounded.run_until(horizon);
+        keep_all.run_until(horizon);
+        let ticks_per_window =
+            (config.verification_window.as_micros() / config.t_measure.as_micros()) as usize;
+        for id in 1..=3 {
+            let full = keep_all.device(DeviceId(id)).unwrap().measured_series();
+            let kept = bounded.device(DeviceId(id)).unwrap().measured_series();
+            assert_eq!(
+                full.len(),
+                10 * ticks_per_window,
+                "keep-all keeps every tick"
+            );
+            assert!(
+                kept.len() <= (keep + 1) * ticks_per_window,
+                "device {id} kept {} entries",
+                kept.len()
+            );
+            assert_eq!(kept, &full[full.len() - kept.len()..]);
+        }
+        assert_eq!(bounded.metrics(), keep_all.metrics());
     }
 
     #[test]

@@ -46,17 +46,25 @@ pub enum StoreOutcome {
 pub struct LocalStore {
     capacity: usize,
     /// Backing storage. The live records are `records[head..]`; everything
-    /// before `head` is already evicted or acknowledged and awaits the next
-    /// compaction. The offset turns eviction and in-order acknowledgment
-    /// into pointer bumps instead of `Vec::remove(0)` memmoves — at fleet
-    /// scale an unregistered device fills its whole store and then evicts
-    /// on *every* measurement tick, which made the old representation
-    /// quadratic in the run horizon.
+    /// before `head` is already evicted, acknowledged or drained for
+    /// transmission and awaits the next compaction. The offset turns
+    /// eviction and in-order acknowledgment into pointer bumps instead of
+    /// `Vec::remove(0)` memmoves — at fleet scale an unregistered device
+    /// fills its whole store and then evicts on *every* measurement tick,
+    /// which made the old representation quadratic in the run horizon.
+    /// Compaction keeps the dead prefix within `max(len, COMPACT_FLOOR)`,
+    /// so a reporting device with one or two live records holds a buffer
+    /// of a few dozen, not `capacity`.
     records: Vec<MeasurementRecord>,
     head: usize,
     evicted: u64,
     total_stored: u64,
 }
+
+/// The dead prefix a [`LocalStore`] tolerates however few records are live,
+/// so a store holding one record compacts every few acknowledgments rather
+/// than on each one.
+const COMPACT_FLOOR: usize = 16;
 
 impl PartialEq for LocalStore {
     fn eq(&self, other: &Self) -> bool {
@@ -100,11 +108,13 @@ impl LocalStore {
         self.head == self.records.len()
     }
 
-    /// Drops the dead prefix once it outgrows the live contents, keeping the
-    /// backing vector within 2x of the live size (amortized O(1) per
-    /// eviction/acknowledgment).
+    /// Drops the dead prefix once it outgrows both the live records and
+    /// [`COMPACT_FLOOR`], keeping the backing vector within 2x of the live
+    /// size plus the floor. A compaction moves fewer live records than the
+    /// dead ones it drops, so its cost is amortized O(1) per eviction,
+    /// acknowledgment or drained record.
     fn maybe_compact(&mut self) {
-        if self.head > self.capacity.max(self.records.len() - self.head) {
+        if self.head > self.len().max(COMPACT_FLOOR) {
             self.records.drain(..self.head);
             self.head = 0;
         }
@@ -141,13 +151,16 @@ impl LocalStore {
     /// re-pushed by the caller.
     pub fn drain_for_transmission(&mut self, max: usize) -> Vec<MeasurementRecord> {
         let take = max.min(self.len());
-        self.records
-            .drain(self.head..self.head + take)
-            .map(|mut r| {
-                r.backfilled = true;
-                r
+        let batch = self.records[self.head..self.head + take]
+            .iter()
+            .map(|&r| MeasurementRecord {
+                backfilled: true,
+                ..r
             })
-            .collect()
+            .collect();
+        self.head += take;
+        self.maybe_compact();
+        batch
     }
 
     /// Returns the buffered records without removing them.
@@ -213,6 +226,7 @@ impl LocalStore {
 mod tests {
     use super::*;
     use rtem_net::packet::DeviceId;
+    use rtem_sim::rng::SimRng;
 
     fn record(seq: u64) -> MeasurementRecord {
         MeasurementRecord {
@@ -313,6 +327,29 @@ mod tests {
             s.push(record(i));
         }
         assert_eq!(s.buffered_charge_uas(), 40_000);
+    }
+
+    #[test]
+    fn dead_prefix_stays_within_the_compaction_bound() {
+        let mut s = LocalStore::new(4096);
+        let mut rng = SimRng::seed_from_u64(5);
+        let mut compactions = 0;
+        for seq in 0..10_000 {
+            s.push(record(seq));
+            assert!(s.head <= s.len().max(COMPACT_FLOOR), "after push {seq}");
+            // An aggregator acking all but the newest 0..=2 records, as one
+            // lagging a tick or two behind the device does.
+            let lag = rng.next_below(3);
+            if let Some(through) = seq.checked_sub(lag) {
+                let head_before = s.head;
+                s.acknowledge_through(through);
+                compactions += usize::from(s.head < head_before);
+            }
+            assert!(s.len() <= 3, "at most 3 live records");
+            assert!(s.head <= s.len().max(COMPACT_FLOOR), "after ack {seq}");
+        }
+        assert!(s.records.len() <= 3 + COMPACT_FLOOR);
+        assert!(compactions > 10_000 / (COMPACT_FLOOR + 3));
     }
 
     #[test]

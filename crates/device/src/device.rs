@@ -180,10 +180,20 @@ impl MeteringDevice {
         self.middleware.counters()
     }
 
-    /// Every `(time, measured current)` pair the device has reported or
-    /// buffered, for plotting Fig. 6-style traces.
+    /// The `(time, measured current)` pairs the device has reported or
+    /// buffered, oldest first, for plotting Fig. 6-style traces. Every pair
+    /// since boot, unless [`prune_series_before`](Self::prune_series_before)
+    /// dropped the older ones: a world under bounded retention prunes each
+    /// device to the active windows at every window seal of its network.
     pub fn measured_series(&self) -> &[(SimTime, Milliamps)] {
         &self.reported_series
+    }
+
+    /// Drops the [`measured_series`](Self::measured_series) pairs taken
+    /// before `cutoff`.
+    pub fn prune_series_before(&mut self, cutoff: SimTime) {
+        let cut = self.reported_series.partition_point(|&(at, _)| at < cutoff);
+        self.reported_series.drain(..cut);
     }
 
     /// Ground-truth current the device pulls from the grid at `now` (zero

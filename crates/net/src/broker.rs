@@ -34,9 +34,10 @@ use bytes::Bytes;
 use rtem_sim::rng::SimRng;
 use rtem_sim::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a broker client (a device or an aggregator endpoint).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -89,8 +90,9 @@ pub struct Delivery {
     pub to: ClientId,
     /// Publisher that sent it.
     pub from: ClientId,
-    /// Topic the message was published on.
-    pub topic: String,
+    /// Topic the message was published on. Deliveries of one publish to an
+    /// exact-filter topic share the subscription index's allocation.
+    pub topic: Arc<str>,
     /// Message payload.
     pub payload: Bytes,
     /// Simulated time at which the subscriber receives the message.
@@ -108,7 +110,7 @@ pub struct Delivery {
 #[derive(Debug, Clone)]
 struct QueuedMessage {
     from: ClientId,
-    topic: String,
+    topic: Arc<str>,
     payload: Bytes,
     qos: QoS,
 }
@@ -250,18 +252,24 @@ pub fn topic_matches(filter: &str, topic: &str) -> bool {
 #[derive(Debug)]
 pub struct MqttBroker {
     clients: BTreeMap<ClientId, Client>,
-    /// Subscription index for wildcard-free filters: filter string (which
-    /// for these filters matches exactly one topic) → subscribed clients.
-    /// Keeping the sets ordered by client id preserves the delivery order
-    /// the unindexed broker produced by scanning the client map.
-    exact_subscriptions: BTreeMap<String, BTreeSet<ClientId>>,
+    /// Subscription index for wildcard-free filters: filter (which for
+    /// these filters matches exactly one topic) → subscribed clients. The
+    /// key is the one allocation of the topic text: every delivery and
+    /// parked message of a publish on it shares the `Arc`. Keeping each
+    /// subscriber list sorted by client id preserves the delivery order
+    /// the unindexed broker produced by scanning the client map; the map
+    /// itself is never iterated.
+    exact_subscriptions: HashMap<Arc<str>, Vec<ClientId>>,
     /// Clients holding at least one wildcard filter; only these pay a
     /// per-publish filter match. The simulation's metering topics are all
     /// exact, so this set is empty on the hot path.
     wildcard_subscribers: BTreeSet<ClientId>,
+    /// The subscribers of the publish in progress, kept between publishes
+    /// so gathering them allocates nothing in the steady state.
+    subscriber_scratch: Vec<ClientId>,
     /// Last retained payload per topic (publish with `retain` to set,
     /// publish an empty retained payload to clear).
-    retained: BTreeMap<String, RetainedMessage>,
+    retained: BTreeMap<Arc<str>, RetainedMessage>,
     rng: SimRng,
     in_flight: BinaryHeap<PendingDelivery>,
     next_seq: u64,
@@ -289,8 +297,9 @@ impl MqttBroker {
     pub fn new(rng: SimRng) -> Self {
         MqttBroker {
             clients: BTreeMap::new(),
-            exact_subscriptions: BTreeMap::new(),
+            exact_subscriptions: HashMap::new(),
             wildcard_subscribers: BTreeSet::new(),
+            subscriber_scratch: Vec::new(),
             retained: BTreeMap::new(),
             rng,
             in_flight: BinaryHeap::new(),
@@ -358,7 +367,7 @@ impl MqttBroker {
         };
         client.connected = true;
         let queue = std::mem::take(&mut client.session_queue);
-        let mut replayed_topics: BTreeSet<String> = BTreeSet::new();
+        let mut replayed_topics: BTreeSet<Arc<str>> = BTreeSet::new();
         for msg in queue {
             self.resumed += 1;
             replayed_topics.insert(msg.topic.clone());
@@ -407,11 +416,12 @@ impl MqttBroker {
             client.subscriptions.push(filter.to_string());
             if filter_has_wildcard(filter) {
                 self.wildcard_subscribers.insert(id);
+            } else if let Some(subscribers) = self.exact_subscriptions.get_mut(filter) {
+                if let Err(at) = subscribers.binary_search(&id) {
+                    subscribers.insert(at, id);
+                }
             } else {
-                self.exact_subscriptions
-                    .entry(filter.to_string())
-                    .or_default()
-                    .insert(id);
+                self.exact_subscriptions.insert(Arc::from(filter), vec![id]);
             }
         }
         Ok(())
@@ -454,7 +464,7 @@ impl MqttBroker {
                     self.wildcard_subscribers.remove(&id);
                 }
             } else if let Some(subscribers) = self.exact_subscriptions.get_mut(filter) {
-                subscribers.remove(&id);
+                subscribers.retain(|&s| s != id);
                 if subscribers.is_empty() {
                     self.exact_subscriptions.remove(filter);
                 }
@@ -519,7 +529,7 @@ impl MqttBroker {
                 self.retained.remove(topic);
             } else {
                 self.retained.insert(
-                    topic.to_string(),
+                    Arc::from(topic),
                     RetainedMessage {
                         from,
                         payload: payload.clone(),
@@ -528,30 +538,35 @@ impl MqttBroker {
                 );
             }
         }
-        // Exact-filter subscribers come straight out of the index; only
-        // clients holding wildcard filters are matched per publish. The
-        // merge keeps client-id order (the order the unindexed broker
-        // scanned the client map in) and drops duplicates — a client can
-        // match through both an exact and a wildcard filter.
-        let exact = self.exact_subscriptions.get(topic);
-        let wildcard = self.wildcard_subscribers.iter().filter(|id| {
-            self.clients[id]
-                .subscriptions
-                .iter()
-                .any(|f| topic_matches(f, topic))
-        });
-        let mut subscribers: Vec<ClientId> = exact
-            .into_iter()
-            .flatten()
-            .chain(wildcard)
-            .copied()
-            .filter(|&id| id != from)
-            .collect();
-        subscribers.sort_unstable();
-        subscribers.dedup();
+        // Exact-filter subscribers come straight out of the index, already
+        // in client-id order (the order the unindexed broker scanned the
+        // client map in). Only clients holding wildcard filters are matched
+        // per publish; merging them needs a sort, and a dedup since a
+        // client can match through both an exact and a wildcard filter.
+        let mut subscribers = std::mem::take(&mut self.subscriber_scratch);
+        subscribers.clear();
+        let exact = self.exact_subscriptions.get_key_value(topic);
+        if let Some((_, ids)) = exact {
+            subscribers.extend(ids.iter().filter(|&&id| id != from));
+        }
+        if !self.wildcard_subscribers.is_empty() {
+            subscribers.extend(self.wildcard_subscribers.iter().filter(|&&id| {
+                id != from
+                    && self.clients[&id]
+                        .subscriptions
+                        .iter()
+                        .any(|f| topic_matches(f, topic))
+            }));
+            subscribers.sort_unstable();
+            subscribers.dedup();
+        }
+
+        // A topic reached only through wildcard filters has no index entry;
+        // its deliveries share one fresh copy of the text.
+        let topic = exact.map_or_else(|| Arc::from(topic), |(key, _)| Arc::clone(key));
 
         let mut scheduled = 0;
-        for to in subscribers {
+        for &to in &subscribers {
             if !self.clients[&to].connected {
                 // Persistent session: QoS ≥ 1 messages are parked for
                 // replay on resume; QoS 0 is dropped on the floor, exactly
@@ -562,17 +577,18 @@ impl MqttBroker {
                     let client = self.clients.get_mut(&to).expect("subscriber exists");
                     client.session_queue.push(QueuedMessage {
                         from,
-                        topic: topic.to_string(),
+                        topic: Arc::clone(&topic),
                         payload: payload.clone(),
                         qos,
                     });
                 }
                 continue;
             }
-            if self.schedule_delivery(to, from, topic, &payload, qos, false, now) {
+            if self.schedule_delivery(to, from, &topic, &payload, qos, false, now) {
                 scheduled += 1;
             }
         }
+        self.subscriber_scratch = subscribers;
         Ok(scheduled)
     }
 
@@ -588,7 +604,7 @@ impl MqttBroker {
         &mut self,
         to: ClientId,
         from: ClientId,
-        topic: &str,
+        topic: &Arc<str>,
         payload: &Bytes,
         qos: QoS,
         retained: bool,
@@ -605,7 +621,7 @@ impl MqttBroker {
                 let client = self.clients.get_mut(&to).expect("subscriber exists");
                 client.session_queue.push(QueuedMessage {
                     from,
-                    topic: topic.to_string(),
+                    topic: Arc::clone(topic),
                     payload: payload.clone(),
                     qos,
                 });
@@ -642,7 +658,7 @@ impl MqttBroker {
                     delivery: Delivery {
                         to,
                         from,
-                        topic: topic.to_string(),
+                        topic: Arc::clone(topic),
                         payload: payload.clone(),
                         at: now + delay,
                         retransmission,
@@ -700,14 +716,14 @@ impl MqttBroker {
         &mut self,
         id: ClientId,
         only_filter: Option<&str>,
-        skip: &BTreeSet<String>,
+        skip: &BTreeSet<Arc<str>>,
         now: SimTime,
     ) {
-        let matching: Vec<(String, RetainedMessage)> = {
+        let matching: Vec<(Arc<str>, RetainedMessage)> = {
             let client = &self.clients[&id];
             self.retained
                 .iter()
-                .filter(|(topic, _)| !skip.contains(topic.as_str()))
+                .filter(|(topic, _)| !skip.contains(*topic))
                 .filter(|(topic, _)| match only_filter {
                     Some(filter) => topic_matches(filter, topic),
                     None => client
@@ -871,6 +887,106 @@ mod tests {
         assert_eq!(due[0].to, ClientId(2));
         assert_eq!(due[0].from, ClientId(1));
         assert_eq!(b.delivered(), 1);
+    }
+
+    #[test]
+    fn exact_topic_deliveries_share_the_index_allocation() {
+        let mut b = broker();
+        for id in 1..=3 {
+            b.connect(ClientId(id), LinkConfig::ideal());
+        }
+        b.subscribe(ClientId(2), "metering/agg-1/uplink").unwrap();
+        b.subscribe(ClientId(3), "metering/agg-1/uplink").unwrap();
+        let n = b
+            .publish(
+                ClientId(1),
+                "metering/agg-1/uplink",
+                Bytes::from_static(b"r"),
+                QoS::AtLeastOnce,
+                SimTime::ZERO,
+            )
+            .unwrap();
+        assert_eq!(n, 2);
+        let due = b.drain_due(SimTime::from_secs(1));
+        assert_eq!(due.len(), 2);
+        let (key, _) = b
+            .exact_subscriptions
+            .get_key_value("metering/agg-1/uplink")
+            .unwrap();
+        for delivery in &due {
+            assert!(Arc::ptr_eq(&delivery.topic, key));
+        }
+    }
+
+    #[test]
+    fn wildcard_only_match_carries_the_topic_text() {
+        let mut b = broker();
+        for id in 1..=3 {
+            b.connect(ClientId(id), LinkConfig::ideal());
+        }
+        b.subscribe(ClientId(2), "metering/#").unwrap();
+        b.subscribe(ClientId(3), "metering/+/report").unwrap();
+        b.publish(
+            ClientId(1),
+            "metering/dev-1/report",
+            Bytes::from_static(b"r"),
+            QoS::AtLeastOnce,
+            SimTime::ZERO,
+        )
+        .unwrap();
+        let due = b.drain_due(SimTime::from_secs(1));
+        assert_eq!(due.len(), 2);
+        assert!(b.exact_subscriptions.is_empty());
+        for delivery in &due {
+            assert_eq!(&*delivery.topic, "metering/dev-1/report");
+        }
+    }
+
+    #[test]
+    fn deliveries_follow_client_id_order_whatever_the_subscribe_order() {
+        let mut b = broker();
+        for id in 1..=5 {
+            b.connect(ClientId(id), LinkConfig::ideal());
+        }
+        // Exact subscribers joining in reverse order, a wildcard subscriber
+        // in between, and one client matching through both kinds.
+        b.subscribe(ClientId(5), "t/a").unwrap();
+        b.subscribe(ClientId(2), "t/a").unwrap();
+        b.subscribe(ClientId(4), "t/+").unwrap();
+        b.subscribe(ClientId(3), "t/a").unwrap();
+        b.subscribe(ClientId(3), "t/#").unwrap();
+        b.publish(
+            ClientId(1),
+            "t/a",
+            Bytes::new(),
+            QoS::AtMostOnce,
+            SimTime::ZERO,
+        )
+        .unwrap();
+        let to: Vec<ClientId> = b
+            .drain_due(SimTime::from_secs(1))
+            .iter()
+            .map(|d| d.to)
+            .collect();
+        assert_eq!(to, [2, 3, 4, 5].map(ClientId));
+        // Without the wildcard subscribers the exact index alone keeps the
+        // order.
+        b.unsubscribe(ClientId(4), "t/+").unwrap();
+        b.unsubscribe(ClientId(3), "t/#").unwrap();
+        b.publish(
+            ClientId(1),
+            "t/a",
+            Bytes::new(),
+            QoS::AtMostOnce,
+            SimTime::ZERO,
+        )
+        .unwrap();
+        let to: Vec<ClientId> = b
+            .drain_due(SimTime::from_secs(1))
+            .iter()
+            .map(|d| d.to)
+            .collect();
+        assert_eq!(to, [2, 3, 5].map(ClientId));
     }
 
     #[test]

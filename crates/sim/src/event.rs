@@ -205,6 +205,11 @@ impl<E> EventQueue<E> {
     }
 
     fn drop_cancelled_head(&mut self) {
+        // Runs on every peek and pop; a queue nobody cancels from (the
+        // world's) skips the hash probe.
+        if self.cancelled.is_empty() {
+            return;
+        }
         while let Some(head) = self.heap.peek() {
             if self.cancelled.remove(&head.seq) {
                 self.heap.pop();
@@ -308,6 +313,27 @@ mod tests {
         assert_eq!(q.delivered(), 1);
         assert!(!q.is_empty());
         q.pop();
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn cancelling_one_of_several_tied_events_keeps_time_seq_order() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        let ids: Vec<EventId> = (0..5).map(|i| q.schedule(t, i)).collect();
+        q.schedule(SimTime::from_secs(2), 5);
+        assert_eq!(q.pop().map(|e| e.payload), Some(0));
+        // The cancelled event is now the head of the tie.
+        assert!(q.cancel(ids[1]));
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek().map(|(at, &p)| (at, p)), Some((t, 2)));
+        assert_eq!(q.len(), 4, "dropping the cancelled head keeps len");
+        let rest: Vec<(SimTime, i32)> =
+            std::iter::from_fn(|| q.pop().map(|e| (e.at, e.payload))).collect();
+        assert_eq!(
+            rest,
+            vec![(t, 2), (t, 3), (t, 4), (SimTime::from_secs(2), 5)]
+        );
         assert!(q.is_empty());
     }
 

@@ -172,7 +172,7 @@ fn run_interleaving(seed: u64, steps: usize) {
                 replayed
                     .entry(delivery.to)
                     .or_default()
-                    .push((delivery.topic.clone(), payload_id(&delivery)));
+                    .push((delivery.topic.to_string(), payload_id(&delivery)));
             } else {
                 live.entry(delivery.to).or_default().push(delivery);
             }
