@@ -1,0 +1,23 @@
+//! Prints the paper's claims as a Markdown table, each next to what this
+//! reproduction measures (README → "Reproduced results" embeds the output),
+//! and exits non-zero when any claim does not hold.
+//!
+//! ```bash
+//! cargo run --release -p rtem-bench --bin paper_claims
+//! ```
+
+use rtem_bench::{markdown, measure_all};
+
+fn main() {
+    let claims = measure_all();
+    print!("{}", markdown(&claims));
+    let failed: Vec<&str> = claims
+        .iter()
+        .filter(|claim| !claim.holds)
+        .map(|claim| claim.claim)
+        .collect();
+    if !failed.is_empty() {
+        eprintln!("paper claims that do not hold: {}", failed.join("; "));
+        std::process::exit(1);
+    }
+}

@@ -768,11 +768,14 @@ impl CampaignSpec {
 
     /// A scalar size used by the shrinker: event count dominates, then fleet
     /// size, then horizon — every shrink step strictly decreases it.
+    /// Saturates at `u64::MAX` for fleets too large to run.
     pub fn size(&self) -> u64 {
         let events = (self.faults.len() + self.controls.len() + self.mobility.len()) as u64;
-        events * 1_000_000_000
-            + (self.networks as u64 * self.devices_per_network as u64) * 10_000
-            + self.horizon_s
+        let fleet = u64::from(self.networks) * u64::from(self.devices_per_network);
+        events
+            .saturating_mul(1_000_000_000)
+            .saturating_add(fleet.saturating_mul(10_000))
+            .saturating_add(self.horizon_s)
     }
 
     /// Serializes to the line-based fixture format. Exact: integer fields
@@ -806,6 +809,9 @@ impl CampaignSpec {
     }
 
     /// Parses the fixture format written by [`CampaignSpec::serialize`].
+    ///
+    /// Every network index and device ordinal must lie inside the
+    /// `networks` / `devices` lines above it, the order `serialize` writes.
     pub fn parse(text: &str) -> Result<CampaignSpec, CampaignParseError> {
         let fail = |line: usize, message: &str| CampaignParseError {
             line,
@@ -855,6 +861,20 @@ impl CampaignSpec {
             };
             let parse_secs = |s: &str| parse_at_most(s, u64::MAX / 1_000_000);
             let parse_millis = |s: &str| parse_at_most(s, u64::MAX / 1_000);
+            // Indices become network addresses and device ids once lowered;
+            // one the campaign does not declare names nothing and may
+            // overflow the address.
+            let (networks, devices) = (spec.networks, spec.devices_per_network);
+            let undeclared_net = || fail(line_no, "network index not declared by `networks`");
+            let undeclared_ord = || fail(line_no, "device ordinal not declared by `devices`");
+            let parse_net = |s: &str| match parse_u32(s)? {
+                net if net < networks => Ok(net),
+                _ => Err(undeclared_net()),
+            };
+            let parse_ord = |s: &str| match parse_u32(s)? {
+                ord if ord < devices => Ok(ord),
+                _ => Err(undeclared_ord()),
+            };
             match (fields[0], fields.len()) {
                 ("end", 1) => ended = true,
                 ("seed", 2) => spec.seed = parse_u64(fields[1])?,
@@ -877,22 +897,22 @@ impl CampaignSpec {
                     let fault = match (fields[1], n) {
                         ("sensor_stuck", 6) => CampaignFault::SensorStuck {
                             at_s: parse_secs(fields[2])?,
-                            net: parse_u32(fields[3])?,
-                            ord: parse_u32(fields[4])?,
+                            net: parse_net(fields[3])?,
+                            ord: parse_ord(fields[4])?,
                             level_ma: parse_u32(fields[5])?,
                         },
                         ("sensor_drift", 7) => CampaignFault::SensorDrift {
                             at_s: parse_secs(fields[2])?,
                             until_s: parse_secs(fields[3])?,
-                            net: parse_u32(fields[4])?,
-                            ord: parse_u32(fields[5])?,
+                            net: parse_net(fields[4])?,
+                            ord: parse_ord(fields[5])?,
                             rate_ma_per_s: fields[6]
                                 .parse()
                                 .map_err(|_| fail(line_no, "expected an integer"))?,
                         },
                         ("tamper", 4) => CampaignFault::Tamper {
                             at_s: parse_secs(fields[2])?,
-                            net: parse_u32(fields[3])?,
+                            net: parse_net(fields[3])?,
                         },
                         ("wifi_burst", 6) => CampaignFault::WifiBurst {
                             at_s: parse_secs(fields[2])?,
@@ -900,7 +920,7 @@ impl CampaignSpec {
                             net: if fields[4] == "all" {
                                 None
                             } else {
-                                Some(parse_u32(fields[4])?)
+                                Some(parse_net(fields[4])?)
                             },
                             loss_permille: fields[5]
                                 .parse()
@@ -916,30 +936,30 @@ impl CampaignSpec {
                         ("crash", 6) => CampaignFault::Crash {
                             at_s: parse_secs(fields[2])?,
                             restart_s: parse_secs(fields[3])?,
-                            net: parse_u32(fields[4])?,
-                            ord: parse_u32(fields[5])?,
+                            net: parse_net(fields[4])?,
+                            ord: parse_ord(fields[5])?,
                         },
                         ("outage", 6) => CampaignFault::Outage {
                             at_s: parse_secs(fields[2])?,
                             until_s: parse_secs(fields[3])?,
-                            net: parse_u32(fields[4])?,
+                            net: parse_net(fields[4])?,
                             failover: if fields[5] == "none" {
                                 None
                             } else {
-                                Some(parse_u32(fields[5])?)
+                                Some(parse_net(fields[5])?)
                             },
                         },
                         ("byzantine", 6) => CampaignFault::Byzantine {
                             at_s: parse_secs(fields[2])?,
                             until_s: parse_secs(fields[3])?,
-                            net: parse_u32(fields[4])?,
+                            net: parse_net(fields[4])?,
                             voters: parse_u32(fields[5])?,
                         },
                         ("corruption", 8) => CampaignFault::Corruption {
                             at_s: parse_secs(fields[2])?,
                             until_s: parse_secs(fields[3])?,
-                            net: parse_u32(fields[4])?,
-                            ord: parse_u32(fields[5])?,
+                            net: parse_net(fields[4])?,
+                            ord: parse_ord(fields[5])?,
                             mode: CorruptionModeSpec::from_token(fields[6])
                                 .ok_or_else(|| fail(line_no, "unknown corruption mode"))?,
                             per_mille: fields[7]
@@ -951,9 +971,15 @@ impl CampaignSpec {
                     spec.faults.push(fault);
                 }
                 ("control", n) if n >= 2 => {
-                    let target = |s: &str| {
-                        CommandTargetSpec::from_token(s)
-                            .ok_or_else(|| fail(line_no, "unknown command target"))
+                    let target = |s: &str| match CommandTargetSpec::from_token(s) {
+                        Some(
+                            CommandTargetSpec::Device { net, .. } | CommandTargetSpec::Site { net },
+                        ) if net >= networks => Err(undeclared_net()),
+                        Some(CommandTargetSpec::Device { ord, .. }) if ord >= devices => {
+                            Err(undeclared_ord())
+                        }
+                        Some(target) => Ok(target),
+                        None => Err(fail(line_no, "unknown command target")),
                     };
                     let control = match (fields[1], n) {
                         ("measure_interval", 5) => CampaignControl::MeasureInterval {
@@ -976,9 +1002,9 @@ impl CampaignSpec {
                 ("hop", 6) => spec.mobility.push(CampaignHop {
                     unplug_s: parse_secs(fields[1])?,
                     replug_s: parse_secs(fields[2])?,
-                    net: parse_u32(fields[3])?,
-                    ord: parse_u32(fields[4])?,
-                    dest: parse_u32(fields[5])?,
+                    net: parse_net(fields[3])?,
+                    ord: parse_ord(fields[4])?,
+                    dest: parse_net(fields[5])?,
                 }),
                 _ => return Err(fail(line_no, "unknown line")),
             }
@@ -1098,6 +1124,22 @@ mod tests {
             u64::MAX / 1_000 + 1
         );
         assert_eq!(CampaignSpec::parse(&interval).unwrap_err().line, 6);
+        // Network indices and device ordinals the campaign does not declare
+        // fail at their line instead of overflowing the address once lowered.
+        for line in [
+            "hop 10 20 0 0 4294967295",
+            "fault tamper 10 4294967295",
+            "fault outage 10 20 0 4294967295",
+            "fault crash 10 20 0 1",
+            "control stop_reporting 5 site:2",
+        ] {
+            let text = format!("{topology}horizon 50\n{line}\nend\n");
+            assert_eq!(CampaignSpec::parse(&text).unwrap_err().line, 6, "{line}");
+        }
+        // The largest declarable fleet parses, and its size saturates.
+        let giant = "campaign v1\nseed 1\nnetworks 4294967295\ndevices 4294967295\n\
+                     horizon 50\nend\n";
+        assert_eq!(CampaignSpec::parse(giant).unwrap().size(), u64::MAX);
         // The largest representable horizon still parses and lowers.
         let largest = format!("{topology}horizon {}\nend\n", u64::MAX / 1_000_000);
         assert_eq!(CampaignSpec::parse(&largest).unwrap().validate(), Ok(()));

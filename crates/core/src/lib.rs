@@ -9,14 +9,13 @@
 //! stay billable to their home network while charging elsewhere (device
 //! mobility), and have their data stored in a consensus-free permissioned
 //! hash chain. This crate assembles the substrate crates into that
-//! architecture, plus the metrics and baselines the experiments read:
+//! architecture, plus the metrics the experiments read and two extensions:
 //!
 //! * [`simulation`] — the [`World`](simulation::World): devices,
 //!   aggregators, grids, MQTT broker and backhaul driven by simulated time
 //!   (the replacement for the paper's hardware testbed).
 //! * [`metrics`] — Fig. 5 accuracy windows, Thandshake statistics, run
 //!   summaries.
-//! * [`centralized`] — the centralized-metering baseline.
 //! * [`consensus`] — device-level quorum consensus (future-work extension).
 //! * [`loadbalance`] — dynamic load balancing of mobile devices
 //!   (future-work extension).
@@ -43,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod centralized;
 pub mod consensus;
 pub mod loadbalance;
 pub mod metrics;

@@ -76,7 +76,7 @@ pub mod spec;
 pub mod suite;
 
 // Stable module paths into the composed architecture (rtem-core).
-pub use rtem_core::{centralized, consensus, loadbalance, metrics, simulation};
+pub use rtem_core::{consensus, loadbalance, metrics, simulation};
 
 // Stable module paths into the substrate crates.
 pub use rtem_aggregator as aggregator;

@@ -134,6 +134,9 @@ pub enum SpecError {
     ZeroHorizon,
     /// The measurement interval (Tmeasure) is zero — devices would spin.
     ZeroMeasureInterval,
+    /// The aggregators' upstream sampling interval is zero — every
+    /// aggregator would resample at the same instant forever.
+    ZeroUpstreamSampleInterval,
     /// The verification window is zero — no block could ever be sealed.
     ZeroVerificationWindow,
     /// A script event refers to a device the spec does not generate.
@@ -194,6 +197,7 @@ impl fmt::Display for SpecError {
             ),
             SpecError::ZeroHorizon => write!(f, "scenario horizon is zero"),
             SpecError::ZeroMeasureInterval => write!(f, "measurement interval is zero"),
+            SpecError::ZeroUpstreamSampleInterval => write!(f, "upstream sample interval is zero"),
             SpecError::ZeroVerificationWindow => write!(f, "verification window is zero"),
             SpecError::UnknownScriptDevice { device } => {
                 write!(f, "script refers to unknown device {device:?}")
@@ -619,6 +623,9 @@ impl ScenarioSpec {
         if self.t_measure.is_zero() {
             return Err(SpecError::ZeroMeasureInterval);
         }
+        if self.upstream_sample_interval.is_zero() {
+            return Err(SpecError::ZeroUpstreamSampleInterval);
+        }
         if self.verification_window.is_zero() {
             return Err(SpecError::ZeroVerificationWindow);
         }
@@ -756,6 +763,9 @@ mod tests {
         assert_eq!(spec.validate(), Err(SpecError::NoDevices));
         let spec = ScenarioSpec::paper_testbed(1).with_horizon(SimDuration::ZERO);
         assert_eq!(spec.validate(), Err(SpecError::ZeroHorizon));
+        let mut spec = ScenarioSpec::paper_testbed(1);
+        spec.upstream_sample_interval = SimDuration::ZERO;
+        assert_eq!(spec.validate(), Err(SpecError::ZeroUpstreamSampleInterval));
     }
 
     #[test]
