@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod consensus;
+mod device_table;
 pub mod loadbalance;
 pub mod metrics;
 pub mod simulation;

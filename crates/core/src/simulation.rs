@@ -8,6 +8,7 @@
 //! with simulated time.
 
 use crate::consensus::{QuorumConsensus, RoundOutcome, Vote};
+use crate::device_table::DeviceTable;
 use crate::metrics::WorldMetrics;
 use rtem_aggregator::aggregator::{Aggregator, AggregatorConfig, RetentionPolicy};
 use rtem_aggregator::billing::Tariff;
@@ -42,8 +43,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Events driving the world.
 #[derive(Debug, Clone, PartialEq)]
 enum WorldEvent {
-    /// A device's Tmeasure timer fired.
-    MeasureTick(DeviceId),
+    /// A device's Tmeasure timer fired (the device's slot in the world's
+    /// [`DeviceTable`]).
+    MeasureTick(u32),
     /// An aggregator samples its own system-level sensor.
     UpstreamSample(AggregatorAddr),
     /// An aggregator closes its verification window and seals a block.
@@ -341,7 +343,14 @@ struct NetworkSite {
     /// touches only the site's own population instead of scanning every
     /// device in the world. Keyed by device id, so iteration order matches
     /// the whole-population scans this index replaced.
-    members: BTreeMap<DeviceId, BranchId>,
+    members: BTreeMap<DeviceId, Member>,
+}
+
+/// A device plugged into a site: its grid branch and its slot in the
+/// world's [`DeviceTable`].
+struct Member {
+    branch: BranchId,
+    slot: u32,
 }
 
 /// A device's broker session, fixed when the device joins the world.
@@ -515,7 +524,7 @@ impl FaultRuntime {
 pub struct World {
     config: WorldConfig,
     scheduler: Scheduler<WorldEvent>,
-    devices: BTreeMap<DeviceId, MeteringDevice>,
+    devices: DeviceTable,
     device_clients: BTreeMap<DeviceId, DeviceClient>,
     device_sites: BTreeMap<DeviceId, (AggregatorAddr, BranchId)>,
     sites: BTreeMap<AggregatorAddr, NetworkSite>,
@@ -543,12 +552,11 @@ pub struct World {
     outbound_scratch: Vec<rtem_device::device::Outbound>,
     /// Scratch buffer for per-branch loads during upstream sampling.
     loads_scratch: Vec<(BranchId, rtem_sensors::energy::Milliamps)>,
-    /// Scratch id list of the tick batch being dispatched, in pop order.
-    tick_batch_scratch: Vec<DeviceId>,
-    /// Scratch set guarding the batch against duplicate device ids (a
-    /// device has exactly one pending tick, so this never fires today —
-    /// it keeps the batcher safe against future extra schedulings).
-    tick_seen_scratch: BTreeSet<DeviceId>,
+    /// Scratch slot list of the tick batch being dispatched, in pop order.
+    tick_batch_scratch: Vec<u32>,
+    /// Scratch set guarding the batch against duplicate device slots (a
+    /// device has one pending tick unless its id was added twice).
+    tick_seen_scratch: BTreeSet<u32>,
     /// Scratch per-device outcomes of the batch compute phase, reused so
     /// steady-state batching allocates nothing per batch.
     tick_outcomes_scratch: Vec<TickOutcome>,
@@ -640,9 +648,9 @@ const PARALLEL_MIN_CHUNK: usize = 16;
 /// pop order.
 #[derive(Default)]
 struct TickOutcome {
-    /// Whether the device existed when the batch was computed. Absent
-    /// devices get the same treatment as the sequential path's early
-    /// return: dispatch bookkeeping only, no reschedule.
+    /// Whether the compute phase ran the tick. It always does, since
+    /// `collect_tick_batch` never lists a slot twice; an entry it skipped
+    /// would get dispatch bookkeeping only, no reschedule.
     present: bool,
     /// The device's last handshake before the tick, for completion
     /// detection in the apply phase.
@@ -651,20 +659,19 @@ struct TickOutcome {
     outbound: Vec<rtem_device::device::Outbound>,
 }
 
-/// Collects disjoint mutable borrows of `ids`' devices, in `ids` order.
-/// Devices missing from the map (removed mid-run) yield `None`; callers
-/// treat those exactly like the sequential path treats an unknown device.
+/// Collects disjoint mutable borrows of the devices in `slots`, in `slots`
+/// order. A slot listed twice yields `None` after its first occurrence;
+/// callers skip those entries.
 fn device_slots<'a>(
-    devices: &'a mut BTreeMap<DeviceId, MeteringDevice>,
-    ids: &[DeviceId],
+    devices: &'a mut DeviceTable,
+    slots: &[u32],
 ) -> Vec<Option<&'a mut MeteringDevice>> {
-    let wanted: BTreeSet<DeviceId> = ids.iter().copied().collect();
-    let mut by_id: BTreeMap<DeviceId, &'a mut MeteringDevice> = devices
-        .iter_mut()
-        .filter(|(id, _)| wanted.contains(id))
-        .map(|(&id, device)| (id, device))
+    let wanted: BTreeSet<u32> = slots.iter().copied().collect();
+    let mut by_slot: BTreeMap<u32, &'a mut MeteringDevice> = devices
+        .slots_mut()
+        .filter(|(slot, _)| wanted.contains(slot))
         .collect();
-    ids.iter().map(|id| by_id.remove(id)).collect()
+    slots.iter().map(|slot| by_slot.remove(slot)).collect()
 }
 
 /// Fans `f` over the slot/result pairs on up to `shards` scoped worker
@@ -836,7 +843,7 @@ impl World {
         let rng = SimRng::seed_from_u64(config.seed);
         World {
             scheduler: Scheduler::new(),
-            devices: BTreeMap::new(),
+            devices: DeviceTable::new(),
             device_clients: BTreeMap::new(),
             device_sites: BTreeMap::new(),
             sites: BTreeMap::new(),
@@ -954,11 +961,11 @@ impl World {
             },
         );
         self.client_endpoints.insert(client, Endpoint::Device(id));
-        self.devices.insert(id, device);
+        let slot = self.devices.insert(device);
         // Start the measurement timer.
         self.scheduler.schedule(
             self.now() + self.config.t_measure,
-            WorldEvent::MeasureTick(id),
+            WorldEvent::MeasureTick(slot),
         );
     }
 
@@ -1080,7 +1087,7 @@ impl World {
         self.control_ready = true;
         let now = self.now();
         self.broker.connect(manager_client(), LinkConfig::ideal());
-        let device_ids: Vec<DeviceId> = self.devices.keys().copied().collect();
+        let device_ids: Vec<DeviceId> = self.devices.ids().collect();
         for id in &device_ids {
             let client = self.device_clients[id].id;
             self.broker
@@ -1351,7 +1358,7 @@ impl World {
         let mut reboots = 0u64;
         let mut crashed = 0u64;
         let mut lost_to_crashes = 0u64;
-        for device in self.devices.values() {
+        for (_, device) in self.devices.iter() {
             buffered += device.buffered_records() as u64;
             reboots += u64::from(device.counters().reboots);
             crashed += u64::from(device.is_crashed());
@@ -1452,17 +1459,16 @@ impl World {
             let mut buffered = 0u64;
             let mut reboots = 0u64;
             let mut crashed = 0u64;
-            for device_id in site.members.keys() {
-                let client = device_client(*device_id);
+            for (&device_id, member) in &site.members {
+                let client = device_client(device_id);
                 queue_depth += self.broker.session_queue_len(client).unwrap_or(0) as u64;
                 if let Some(totals) = self.broker.client_link_totals(client) {
                     links += totals;
                 }
-                if let Some(device) = self.devices.get(device_id) {
-                    buffered += device.buffered_records() as u64;
-                    reboots += u64::from(device.counters().reboots);
-                    crashed += u64::from(device.is_crashed());
-                }
+                let device = self.devices.at(member.slot);
+                buffered += device.buffered_records() as u64;
+                reboots += u64::from(device.counters().reboots);
+                crashed += u64::from(device.is_crashed());
             }
             let scope = registry.network_mut(addr.0);
             scope.set(MetricId::BrokerSessionQueueDepth, queue_depth);
@@ -1529,12 +1535,12 @@ impl World {
         }
         self.tick_batch_scratch.clear();
         self.tick_seen_scratch.clear();
-        while let Some((t, &WorldEvent::MeasureTick(device))) = queue.peek() {
-            if t != at || !self.tick_seen_scratch.insert(device) {
+        while let Some((t, &WorldEvent::MeasureTick(slot))) = queue.peek() {
+            if t != at || !self.tick_seen_scratch.insert(slot) {
                 break;
             }
             queue.pop();
-            self.tick_batch_scratch.push(device);
+            self.tick_batch_scratch.push(slot);
         }
         true
     }
@@ -1589,12 +1595,12 @@ impl World {
         // Apply phase, in exact pop order. The queue-depth sample the
         // sequential loop takes before popping tick `i` is reconstructed
         // as the live length plus the batch ticks not yet applied.
-        for (i, &device_id) in batch.iter().enumerate() {
+        for (i, &slot) in batch.iter().enumerate() {
             let depth = self.scheduler.queue_mut().len() + (total - i);
             if depth > self.queue_high_water {
                 self.queue_high_water = depth;
             }
-            let kind = WorldEvent::MeasureTick(device_id).kind_index();
+            let kind = WorldEvent::MeasureTick(slot).kind_index();
             self.events_by_kind[kind] += 1;
             if let Some(trace) = self
                 .telemetry
@@ -1612,7 +1618,8 @@ impl World {
             });
             let outcome = &mut results[i];
             if outcome.present {
-                self.note_handshake(device_id, outcome.handshake_before, now);
+                let device_id = self.devices.at(slot).id();
+                self.note_handshake(slot, outcome.handshake_before, now);
                 for out in outcome.outbound.drain(..) {
                     self.publish_uplink(device_id, out.to, out.packet, now);
                 }
@@ -1622,7 +1629,7 @@ impl World {
                     .copied()
                     .unwrap_or(self.config.t_measure);
                 self.scheduler
-                    .schedule(now + interval, WorldEvent::MeasureTick(device_id));
+                    .schedule(now + interval, WorldEvent::MeasureTick(slot));
                 self.arm_broker_poll(now);
             }
             if let Some(started) = started {
@@ -1680,8 +1687,8 @@ impl World {
 
     fn dispatch_inner(&mut self, event: WorldEvent, now: SimTime) {
         match event {
-            WorldEvent::MeasureTick(device_id) => {
-                self.handle_measure_tick(device_id, now);
+            WorldEvent::MeasureTick(slot) => {
+                self.handle_measure_tick(slot, now);
             }
             WorldEvent::UpstreamSample(addr) => {
                 self.handle_upstream_sample(addr, now);
@@ -1736,10 +1743,8 @@ impl World {
                         let window = self.config.verification_window;
                         site.aggregator.compact(self.config.retention, now, window);
                         if let Some(cutoff) = self.config.retention.cutoff(now, window) {
-                            for id in site.members.keys() {
-                                if let Some(device) = self.devices.get_mut(id) {
-                                    device.prune_series_before(cutoff);
-                                }
+                            for member in site.members.values() {
+                                self.devices.at_mut(member.slot).prune_series_before(cutoff);
                             }
                         }
                     }
@@ -1779,10 +1784,10 @@ impl World {
     fn control_fire(&mut self, id: usize, now: SimTime) {
         let event = self.controls[id].event;
         let targets: Vec<DeviceId> = match event.target {
-            CommandTarget::AllDevices => self.devices.keys().copied().collect(),
+            CommandTarget::AllDevices => self.devices.ids().collect(),
             CommandTarget::Device(device) => self
                 .devices
-                .contains_key(&device)
+                .contains(device)
                 .then_some(device)
                 .into_iter()
                 .collect(),
@@ -1844,11 +1849,7 @@ impl World {
         // A crashed firmware is deaf; its broker session is disconnected, so
         // this only guards the crash-at-the-same-instant race. The queued
         // replay (or the retained copy) catches the device after restart.
-        if self
-            .devices
-            .get(&device_id)
-            .map_or(true, |d| d.is_crashed())
-        {
+        if self.devices.get(device_id).map_or(true, |d| d.is_crashed()) {
             return;
         }
         if !runtime.applied_to.insert(device_id) {
@@ -1913,7 +1914,7 @@ impl World {
     fn apply_fleet_command(&mut self, device_id: DeviceId, command: FleetCommand) -> bool {
         match command {
             FleetCommand::SetMeasureInterval { interval } => {
-                let Some(device) = self.devices.get_mut(&device_id) else {
+                let Some(device) = self.devices.get_mut(device_id) else {
                     return false;
                 };
                 if !device.set_measure_interval(interval) {
@@ -1928,7 +1929,7 @@ impl World {
                 if !hint.is_valid() {
                     return false;
                 }
-                let Some(device) = self.devices.get_mut(&device_id) else {
+                let Some(device) = self.devices.get_mut(device_id) else {
                     return false;
                 };
                 device.set_tariff(DeviceTariff {
@@ -1940,28 +1941,28 @@ impl World {
                 true
             }
             FleetCommand::SetMeterKind { kind } => {
-                if !self.devices.contains_key(&device_id) {
+                if !self.devices.contains(device_id) {
                     return false;
                 }
                 self.set_meter_kind(device_id, kind);
                 true
             }
             FleetCommand::StartReporting => {
-                let Some(device) = self.devices.get_mut(&device_id) else {
+                let Some(device) = self.devices.get_mut(device_id) else {
                     return false;
                 };
                 device.set_reporting(true);
                 true
             }
             FleetCommand::StopReporting => {
-                let Some(device) = self.devices.get_mut(&device_id) else {
+                let Some(device) = self.devices.get_mut(device_id) else {
                     return false;
                 };
                 device.set_reporting(false);
                 true
             }
             FleetCommand::CrashRecoveryConfig { persist_store } => {
-                let Some(device) = self.devices.get_mut(&device_id) else {
+                let Some(device) = self.devices.get_mut(device_id) else {
                     return false;
                 };
                 device.set_persist_store(persist_store);
@@ -1970,17 +1971,11 @@ impl World {
         }
     }
 
-    /// Emits a [`WorldNotification::HandshakeCompleted`] when the device's
-    /// most recent handshake changed across a state transition.
-    fn note_handshake(
-        &mut self,
-        device_id: DeviceId,
-        before: Option<HandshakeBreakdown>,
-        now: SimTime,
-    ) {
-        let Some(device) = self.devices.get(&device_id) else {
-            return;
-        };
+    /// Emits a [`WorldNotification::HandshakeCompleted`] when the most
+    /// recent handshake of the device in `slot` changed across a state
+    /// transition.
+    fn note_handshake(&mut self, slot: u32, before: Option<HandshakeBreakdown>, now: SimTime) {
+        let device = self.devices.at(slot);
         let after = device.last_handshake();
         if after != before {
             if let Some(breakdown) = after {
@@ -1988,7 +1983,7 @@ impl World {
                 self.notifications
                     .push(WorldNotification::HandshakeCompleted {
                         at: now,
-                        device: device_id,
+                        device: device.id(),
                         network,
                         breakdown,
                     });
@@ -1996,19 +1991,14 @@ impl World {
         }
     }
 
-    fn handle_measure_tick(&mut self, device_id: DeviceId, now: SimTime) {
+    fn handle_measure_tick(&mut self, slot: u32, now: SimTime) {
         let mut outbound = std::mem::take(&mut self.outbound_scratch);
         outbound.clear();
-        let handshake_before = {
-            let Some(device) = self.devices.get_mut(&device_id) else {
-                self.outbound_scratch = outbound;
-                return;
-            };
-            let before = device.last_handshake();
-            device.on_measure_tick_into(now, &self.radio, &mut outbound);
-            before
-        };
-        self.note_handshake(device_id, handshake_before, now);
+        let device = self.devices.at_mut(slot);
+        let device_id = device.id();
+        let handshake_before = device.last_handshake();
+        device.on_measure_tick_into(now, &self.radio, &mut outbound);
+        self.note_handshake(slot, handshake_before, now);
         for out in outbound.drain(..) {
             self.publish_uplink(device_id, out.to, out.packet, now);
         }
@@ -2021,7 +2011,7 @@ impl World {
             .copied()
             .unwrap_or(self.config.t_measure);
         self.scheduler
-            .schedule(now + interval, WorldEvent::MeasureTick(device_id));
+            .schedule(now + interval, WorldEvent::MeasureTick(slot));
         self.arm_broker_poll(now);
     }
 
@@ -2045,12 +2035,12 @@ impl World {
         loads.clear();
         if let Some(site) = self.sites.get(&addr) {
             if self.config.shards > 1 && site.members.len() >= 2 * PARALLEL_MIN_CHUNK {
-                let ids: Vec<DeviceId> = site.members.keys().copied().collect();
-                let branches: Vec<BranchId> = site.members.values().copied().collect();
+                let slots: Vec<u32> = site.members.values().map(|m| m.slot).collect();
+                let branches: Vec<BranchId> = site.members.values().map(|m| m.branch).collect();
                 let mut currents: Vec<Option<rtem_sensors::energy::Milliamps>> =
-                    vec![None; ids.len()];
+                    vec![None; slots.len()];
                 let lanes = {
-                    let mut slots = device_slots(&mut self.devices, &ids);
+                    let mut slots = device_slots(&mut self.devices, &slots);
                     fan_out(
                         &mut slots,
                         &mut currents,
@@ -2077,13 +2067,17 @@ impl World {
                     }
                 }
             } else {
-                for (&device_id, &branch) in &site.members {
-                    if let Some(device) = self.devices.get_mut(&device_id) {
-                        loads.push((branch, device.true_grid_current(now)));
-                    }
+                for member in site.members.values() {
+                    let current = self.devices.at_mut(member.slot).true_grid_current(now);
+                    loads.push((member.branch, current));
                 }
             }
         }
+        // The grid sums in branch order, which differs from member order
+        // once a visitor plugs in (it takes a later branch). On a static
+        // site the loads are already in branch order and this is one pass;
+        // either way the evaluation allocates nothing.
+        loads.sort_unstable_by_key(|&(branch, _)| branch);
         if let Some(site) = self.sites.get_mut(&addr) {
             let snapshot = site.grid.evaluate(&loads);
             site.aggregator
@@ -2097,7 +2091,7 @@ impl World {
     }
 
     fn do_plug_in(&mut self, device_id: DeviceId, network: AggregatorAddr, now: SimTime) {
-        assert!(self.devices.contains_key(&device_id), "unknown device");
+        let slot = self.devices.slot(device_id).expect("unknown device");
         // Remove from the previous grid, if any.
         if let Some((old_addr, old_branch)) = self.device_sites.remove(&device_id) {
             if let Some(old_site) = self.sites.get_mut(&old_addr) {
@@ -2108,10 +2102,9 @@ impl World {
         let site = self.sites.get_mut(&network).expect("unknown network");
         let branch = site.grid.add_branch(Branch::default());
         let position = Position::new(site.position.x + 2.0, site.position.y + 1.0);
-        site.members.insert(device_id, branch);
+        site.members.insert(device_id, Member { branch, slot });
         self.device_sites.insert(device_id, (network, branch));
-        let device = self.devices.get_mut(&device_id).expect("device exists");
-        device.plug_in(now, branch, position);
+        self.devices.at_mut(slot).plug_in(now, branch, position);
         self.notifications.push(WorldNotification::PluggedIn {
             at: now,
             device: device_id,
@@ -2126,7 +2119,7 @@ impl World {
                 site.members.remove(&device_id);
             }
         }
-        if let Some(device) = self.devices.get_mut(&device_id) {
+        if let Some(device) = self.devices.get_mut(device_id) {
             device.unplug(now);
             self.notifications.push(WorldNotification::Unplugged {
                 at: now,
@@ -2408,13 +2401,11 @@ impl World {
                 Some(&Endpoint::Device(device_id)) => {
                     let mut outbound = std::mem::take(&mut self.outbound_scratch);
                     outbound.clear();
-                    let handshake_before = {
-                        let device = self.devices.get_mut(&device_id).expect("device exists");
-                        let before = device.last_handshake();
-                        device.on_packet_into(&packet, now, &mut outbound);
-                        before
-                    };
-                    self.note_handshake(device_id, handshake_before, now);
+                    let slot = self.devices.slot(device_id).expect("device exists");
+                    let device = self.devices.at_mut(slot);
+                    let handshake_before = device.last_handshake();
+                    device.on_packet_into(&packet, now, &mut outbound);
+                    self.note_handshake(slot, handshake_before, now);
                     for out in outbound.drain(..) {
                         self.publish_uplink(device_id, out.to, out.packet, now);
                     }
@@ -2513,7 +2504,7 @@ impl World {
     fn fault_start(&mut self, id: usize, now: SimTime) {
         match self.faults[id].event {
             FaultEvent::SensorFault { device, kind, .. } => {
-                let Some(d) = self.devices.get_mut(&device) else {
+                let Some(d) = self.devices.get_mut(device) else {
                     return;
                 };
                 d.inject_sensor_fault(SensorFault::new(kind, now));
@@ -2593,7 +2584,7 @@ impl World {
                 self.note_fault_injected(id, now);
             }
             FaultEvent::DeviceCrash { device, .. } => {
-                let Some(d) = self.devices.get_mut(&device) else {
+                let Some(d) = self.devices.get_mut(device) else {
                     return;
                 };
                 d.crash(now);
@@ -2645,7 +2636,7 @@ impl World {
                 self.note_fault_injected(id, now);
             }
             FaultEvent::TelegramCorruption { device, .. } => {
-                if !self.devices.contains_key(&device) {
+                if !self.devices.contains(device) {
                     return;
                 }
                 // The fault's draws come from a derived stream so arming it
@@ -2663,7 +2654,7 @@ impl World {
         }
         match self.faults[id].event {
             FaultEvent::SensorFault { device, .. } => {
-                if let Some(d) = self.devices.get_mut(&device) {
+                if let Some(d) = self.devices.get_mut(device) {
                     d.clear_sensor_fault();
                 }
             }
@@ -2678,7 +2669,7 @@ impl World {
                 }
             }
             FaultEvent::DeviceCrash { device, .. } => {
-                if let Some(d) = self.devices.get_mut(&device) {
+                if let Some(d) = self.devices.get_mut(device) {
                     d.restart(now);
                 }
                 if let Some(client) = self.device_clients.get(&device).map(|c| c.id) {
@@ -3087,7 +3078,7 @@ impl World {
 
     /// Shared access to a device.
     pub fn device(&self, id: DeviceId) -> Option<&MeteringDevice> {
-        self.devices.get(&id)
+        self.devices.get(id)
     }
 
     /// Network a device is currently plugged into, if any.
@@ -3108,7 +3099,7 @@ impl World {
     /// Allocates; callers on a per-step path should prefer
     /// [`devices`](Self::devices).
     pub fn device_ids(&self) -> Vec<DeviceId> {
-        self.devices.keys().copied().collect()
+        self.devices.ids().collect()
     }
 
     /// Iterates the aggregator addresses in ascending order, without
@@ -3121,7 +3112,7 @@ impl World {
     /// Iterates `(id, device)` pairs in ascending id order, without cloning
     /// the index ([`device_ids`](Self::device_ids) does).
     pub fn devices(&self) -> impl Iterator<Item = (DeviceId, &MeteringDevice)> + '_ {
-        self.devices.iter().map(|(&id, device)| (id, device))
+        self.devices.iter()
     }
 
     /// Number of devices in the world.
@@ -3139,7 +3130,7 @@ impl World {
 mod tests {
     use super::*;
     use rtem_device::device::MeteringDevice;
-    use rtem_sensors::profile::ConstantProfile;
+    use rtem_sensors::profile::{ChargingProfile, ConstantProfile};
 
     fn two_network_world() -> World {
         let mut world = World::new(WorldConfig {
@@ -3671,6 +3662,67 @@ mod tests {
         assert_eq!(a.fault_records(), b.fault_records());
         assert_eq!(a.take_notifications(), b.take_notifications());
         assert_eq!(a.metrics(), b.metrics());
+    }
+
+    /// Pins a run in which a site's member order and branch order differ
+    /// (a visitor plugs into network 2 behind its home members, taking a
+    /// later branch) and one device id is added twice (the second device
+    /// replaces the first and ticks on both pending timers). The digest was
+    /// taken from the world as it stood before devices moved into slots.
+    #[test]
+    fn visitor_and_re_added_device_run_is_pinned() {
+        let mut world = World::new(WorldConfig {
+            verification_window: SimDuration::from_secs(5),
+            ..WorldConfig::default()
+        });
+        world.add_network(AggregatorAddr(1), Position::new(0.0, 0.0));
+        world.add_network(AggregatorAddr(2), Position::new(200.0, 0.0));
+        let charging = |id: u64| {
+            MeteringDevice::testbed(
+                DeviceId(id),
+                ChargingProfile::esp32_testbed(SimRng::seed_from_u64(500 + id)),
+                SimRng::seed_from_u64(100 + id),
+            )
+        };
+        for id in 1..=7u64 {
+            world.add_device(charging(id));
+            let home = if id <= 4 { 1 } else { 2 };
+            world.plug_in_now(DeviceId(id), AggregatorAddr(home));
+        }
+        world.add_device(MeteringDevice::testbed(
+            DeviceId(3),
+            ConstantProfile::new(260.0),
+            SimRng::seed_from_u64(999),
+        ));
+        world.plug_in_now(DeviceId(3), AggregatorAddr(1));
+        world.schedule_unplug(SimTime::from_secs(20), DeviceId(2));
+        world.schedule_plug_in(SimTime::from_secs(30), DeviceId(2), AggregatorAddr(2));
+        world.run_until(SimTime::from_secs(60));
+        assert_eq!(world.device_count(), 7);
+        assert_eq!(world.device_network(DeviceId(2)), Some(AggregatorAddr(2)));
+
+        let mut text = format!("{:#?}\n", world.metrics());
+        for addr in world.networks() {
+            let agg = world.aggregator(addr).unwrap();
+            text += &format!(
+                "{addr:?} {:?}\n{:?}\n{}\n",
+                agg.network_series(),
+                agg.verdicts(),
+                agg.ledger().chain().head_hash().to_hex(),
+            );
+        }
+        for (id, device) in world.devices() {
+            text += &format!(
+                "{id:?} {:?} {} {:?}\n",
+                device.counters(),
+                device.buffered_records(),
+                device.last_handshake(),
+            );
+        }
+        assert_eq!(
+            rtem_chain::sha256::Sha256::digest(text.as_bytes()).to_hex(),
+            "10dd971fb9d243d49c21fce5fa35098a38190a6b89e21d6a22d0632dd09e7810"
+        );
     }
 
     #[test]

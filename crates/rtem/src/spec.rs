@@ -40,6 +40,12 @@ const NETWORK_SPACING_M: f64 = 200.0;
 /// network would collide with the next network's block.
 const DEVICE_ID_BLOCK: u32 = 100;
 
+/// Most devices one scenario may declare (`networks × devices_per_network`):
+/// 10× the largest committed scale cell (100k devices). Validation checks
+/// it before building anything per device, so a giant fleet is rejected in
+/// constant time instead of exhausting memory.
+const MAX_DEVICES: u64 = 1_000_000;
+
 /// Which load is attached to each generated device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceLoad {
@@ -130,6 +136,13 @@ pub enum SpecError {
         /// Size of each network's device-id block.
         limit: u32,
     },
+    /// The spec declares more devices in total than one scenario may hold.
+    TooManyDevices {
+        /// Declared devices, `networks × devices_per_network`.
+        devices: u64,
+        /// Most devices one scenario may declare (1,000,000).
+        limit: u64,
+    },
     /// The run horizon is zero — the world would never advance.
     ZeroHorizon,
     /// The measurement interval (Tmeasure) is zero — devices would spin.
@@ -194,6 +207,10 @@ impl fmt::Display for SpecError {
                 f,
                 "{devices_per_network} devices per network exceed the {limit}-id block reserved \
                  per network (ids would collide across networks)"
+            ),
+            SpecError::TooManyDevices { devices, limit } => write!(
+                f,
+                "{devices} devices exceed the {limit}-device limit of one scenario"
             ),
             SpecError::ZeroHorizon => write!(f, "scenario horizon is zero"),
             SpecError::ZeroMeasureInterval => write!(f, "measurement interval is zero"),
@@ -617,6 +634,13 @@ impl ScenarioSpec {
                 limit: DEVICE_ID_BLOCK,
             });
         }
+        let devices = u64::from(self.networks) * u64::from(self.devices_per_network);
+        if devices > MAX_DEVICES {
+            return Err(SpecError::TooManyDevices {
+                devices,
+                limit: MAX_DEVICES,
+            });
+        }
         if self.horizon.is_zero() {
             return Err(SpecError::ZeroHorizon);
         }
@@ -811,6 +835,41 @@ mod tests {
         // The block boundary itself is fine.
         let spec = ScenarioSpec::paper_testbed(1).with_devices_per_network(100);
         assert_eq!(spec.validate(), Ok(()));
+    }
+
+    /// Both giant shapes come back as a typed error at once: validation
+    /// never builds their ids (the first would need ~34 GB). That the test
+    /// returns at all is the check.
+    #[test]
+    fn giant_fleets_are_rejected_before_anything_is_built() {
+        let spec = ScenarioSpec::paper_testbed(1)
+            .with_networks(1)
+            .with_devices_per_network(u32::MAX);
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError::TooManyDevices {
+                devices: u64::from(u32::MAX),
+                limit: 1_000_000
+            })
+        );
+        let spec = ScenarioSpec::paper_testbed(1)
+            .with_networks(u32::MAX - 1)
+            .with_devices_per_network(100);
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError::TooManyDevices {
+                devices: u64::from(u32::MAX - 1) * 100,
+                limit: 1_000_000
+            })
+        );
+        // The limit itself is allowed.
+        let spec = ScenarioSpec::single_network(1_000_000, 1);
+        assert_eq!(spec.validate(), Ok(()));
+        let spec = ScenarioSpec::single_network(1_000_001, 1);
+        assert!(matches!(
+            spec.validate(),
+            Err(SpecError::TooManyDevices { .. })
+        ));
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! observed in the paper.
 
 use crate::energy::{Milliamps, Millivolts};
-use std::collections::BTreeMap;
 
 /// Identifier of a branch (one device connection) within a grid network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,8 +79,6 @@ pub struct GridSnapshot {
     pub loss_total: Milliamps,
     /// What the aggregator-side meter sees: device total + losses.
     pub upstream_total: Milliamps,
-    /// Per-branch upstream contribution (device + its branch losses).
-    pub per_branch: BTreeMap<BranchId, Milliamps>,
 }
 
 impl GridSnapshot {
@@ -112,7 +109,9 @@ impl GridSnapshot {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GridNetwork {
-    branches: BTreeMap<BranchId, Branch>,
+    /// Connected branches in ascending id order. Ids are handed out in
+    /// increasing order, so adding a branch appends.
+    branches: Vec<(BranchId, Branch)>,
     next_id: u32,
     supply: Millivolts,
 }
@@ -121,7 +120,7 @@ impl GridNetwork {
     /// Creates an empty network on the 5 V testbed rail.
     pub fn new() -> Self {
         GridNetwork {
-            branches: BTreeMap::new(),
+            branches: Vec::new(),
             next_id: 0,
             supply: Millivolts::usb_bus(),
         }
@@ -130,7 +129,7 @@ impl GridNetwork {
     /// Creates an empty network with a custom supply voltage.
     pub fn with_supply(supply: Millivolts) -> Self {
         GridNetwork {
-            branches: BTreeMap::new(),
+            branches: Vec::new(),
             next_id: 0,
             supply,
         }
@@ -145,14 +144,15 @@ impl GridNetwork {
     pub fn add_branch(&mut self, branch: Branch) -> BranchId {
         let id = BranchId(self.next_id);
         self.next_id += 1;
-        self.branches.insert(id, branch);
+        self.branches.push((id, branch));
         id
     }
 
     /// Removes a branch (device physically unplugged). Returns the branch if
     /// it existed.
     pub fn remove_branch(&mut self, id: BranchId) -> Option<Branch> {
-        self.branches.remove(&id)
+        let index = self.position(id).ok()?;
+        Some(self.branches.remove(index).1)
     }
 
     /// Number of branches currently connected.
@@ -162,26 +162,55 @@ impl GridNetwork {
 
     /// Returns the branch parameters, if the branch exists.
     pub fn branch(&self, id: BranchId) -> Option<&Branch> {
-        self.branches.get(&id)
+        let index = self.position(id).ok()?;
+        Some(&self.branches[index].1)
+    }
+
+    fn position(&self, id: BranchId) -> Result<usize, usize> {
+        self.branches
+            .binary_search_by_key(&id, |&(branch_id, _)| branch_id)
     }
 
     /// Evaluates the network for the given per-branch device load currents.
     ///
     /// Branch ids not present in `loads` are treated as drawing zero device
     /// current (their parasitic draw still counts while connected). Loads for
-    /// unknown branches are ignored.
+    /// unknown branches are ignored; of several loads for one branch, the
+    /// last counts.
+    ///
+    /// The totals are summed in ascending branch-id order whatever the order
+    /// of `loads` (`f64` addition is not associative, so the order is part
+    /// of the result). Loads already in ascending branch order are evaluated
+    /// in one merge pass that allocates nothing; any other order is first
+    /// sorted into a copy.
     pub fn evaluate(&self, loads: &[(BranchId, Milliamps)]) -> GridSnapshot {
-        let load_map: BTreeMap<BranchId, Milliamps> = loads.iter().copied().collect();
+        if loads.windows(2).all(|pair| pair[0].0 <= pair[1].0) {
+            return self.evaluate_sorted(loads);
+        }
+        let mut sorted = loads.to_vec();
+        // Stable, so the last of several loads for one branch stays last.
+        sorted.sort_by_key(|&(id, _)| id);
+        self.evaluate_sorted(&sorted)
+    }
+
+    /// [`evaluate`](Self::evaluate) for loads in ascending branch order:
+    /// walks the branches and the loads together.
+    fn evaluate_sorted(&self, mut loads: &[(BranchId, Milliamps)]) -> GridSnapshot {
         let mut device_total = Milliamps::ZERO;
         let mut loss_total = Milliamps::ZERO;
-        let mut per_branch = BTreeMap::new();
 
-        for (&id, branch) in &self.branches {
-            let device = load_map
-                .get(&id)
-                .copied()
-                .unwrap_or(Milliamps::ZERO)
-                .clamp_non_negative();
+        for &(id, branch) in &self.branches {
+            let mut device = Milliamps::ZERO;
+            while let Some((&(load_id, current), rest)) = loads.split_first() {
+                if load_id > id {
+                    break;
+                }
+                if load_id == id {
+                    device = current;
+                }
+                loads = rest;
+            }
+            let device = device.clamp_non_negative();
             // I²R loss referred to the supply rail: extra current the upstream
             // meter must deliver to cover the branch dissipation.
             // P_loss = I² * R  (I in A, R in Ω, P in W)
@@ -196,14 +225,12 @@ impl GridNetwork {
             let branch_loss = Milliamps::new(loss_ma + branch.parasitic_ma);
             device_total += device;
             loss_total += branch_loss;
-            per_branch.insert(id, device + branch_loss);
         }
 
         GridSnapshot {
             device_total,
             loss_total,
             upstream_total: device_total + loss_total,
-            per_branch,
         }
     }
 }
@@ -211,6 +238,8 @@ impl GridNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtem_sim::rng::SimRng;
+    use std::collections::BTreeMap;
 
     #[test]
     fn empty_grid_reports_zero() {
@@ -296,17 +325,103 @@ mod tests {
         assert_eq!(snap.device_total, Milliamps::ZERO);
     }
 
+    /// The map-based evaluation the merge pass replaced, kept verbatim as
+    /// the oracle of its summation order.
+    fn oracle_evaluate(
+        grid: &GridNetwork,
+        loads: &[(BranchId, Milliamps)],
+    ) -> (Milliamps, Milliamps, Milliamps) {
+        let branches: BTreeMap<BranchId, Branch> = grid.branches.iter().copied().collect();
+        let load_map: BTreeMap<BranchId, Milliamps> = loads.iter().copied().collect();
+        let mut device_total = Milliamps::ZERO;
+        let mut loss_total = Milliamps::ZERO;
+
+        for (&id, branch) in &branches {
+            let device = load_map
+                .get(&id)
+                .copied()
+                .unwrap_or(Milliamps::ZERO)
+                .clamp_non_negative();
+            let amps = device.value() / 1000.0;
+            let loss_w = amps * amps * branch.series_resistance_ohm;
+            let loss_ma = if grid.supply.value() > 0.0 {
+                loss_w / (grid.supply.value() / 1000.0) * 1000.0
+            } else {
+                0.0
+            };
+            let branch_loss = Milliamps::new(loss_ma + branch.parasitic_ma);
+            device_total += device;
+            loss_total += branch_loss;
+        }
+
+        (device_total, loss_total, device_total + loss_total)
+    }
+
+    /// Bit-for-bit agreement with the oracle over seeded grids: gapped ids
+    /// (removed branches), branches with no load, loads for unknown or
+    /// removed branches, duplicate loads, and loads both in branch order
+    /// and shuffled.
     #[test]
-    fn per_branch_sums_to_upstream_total() {
-        let mut grid = GridNetwork::new();
-        let ids: Vec<BranchId> = (0..4).map(|_| grid.add_branch(Branch::default())).collect();
-        let loads: Vec<(BranchId, Milliamps)> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, Milliamps::new(50.0 * (i as f64 + 1.0))))
-            .collect();
-        let snap = grid.evaluate(&loads);
-        let per_branch_sum: Milliamps = snap.per_branch.values().copied().sum();
-        assert!((per_branch_sum.value() - snap.upstream_total.value()).abs() < 1e-9);
+    fn matches_the_map_oracle_bit_for_bit() {
+        let bits = |(d, l, u): (Milliamps, Milliamps, Milliamps)| {
+            (
+                d.value().to_bits(),
+                l.value().to_bits(),
+                u.value().to_bits(),
+            )
+        };
+        for seed in 0..200 {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let mut grid = if seed % 5 == 0 {
+                GridNetwork::with_supply(Millivolts::new(3300.0))
+            } else {
+                GridNetwork::new()
+            };
+            let count = rng.next_below(64) as usize;
+            let mut ids = Vec::new();
+            for _ in 0..count {
+                let branch = if rng.chance(0.2) {
+                    Branch::lossless()
+                } else {
+                    Branch::new(rng.uniform(0.0, 2.0), rng.uniform(0.0, 3.0))
+                };
+                ids.push(grid.add_branch(branch));
+            }
+            let mut loads = Vec::new();
+            for &id in &ids {
+                if rng.chance(0.15) {
+                    grid.remove_branch(id);
+                }
+                if rng.chance(0.8) {
+                    loads.push((id, Milliamps::new(rng.uniform(-50.0, 900.0))));
+                }
+                if rng.chance(0.05) {
+                    loads.push((id, Milliamps::new(rng.uniform(0.0, 900.0))));
+                }
+            }
+            for _ in 0..rng.next_below(3) {
+                let unknown = BranchId(count as u32 + rng.next_below(10) as u32);
+                loads.push((unknown, Milliamps::new(rng.uniform(0.0, 900.0))));
+            }
+            let expected = bits(oracle_evaluate(&grid, &loads));
+            let snap = grid.evaluate(&loads);
+            assert_eq!(
+                bits((snap.device_total, snap.loss_total, snap.upstream_total)),
+                expected,
+                "seed {seed}, loads in branch order"
+            );
+            let mut shuffled = loads.clone();
+            for i in (1..shuffled.len()).rev() {
+                let j = rng.next_below(i as u64 + 1) as usize;
+                shuffled.swap(i, j);
+            }
+            let expected = bits(oracle_evaluate(&grid, &shuffled));
+            let snap = grid.evaluate(&shuffled);
+            assert_eq!(
+                bits((snap.device_total, snap.loss_total, snap.upstream_total)),
+                expected,
+                "seed {seed}, shuffled loads"
+            );
+        }
     }
 }

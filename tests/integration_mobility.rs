@@ -129,7 +129,7 @@ fn home_view_covers_both_phases() {
 #[test]
 fn statistics_over_multiple_runs_match_the_paper() {
     // 5 runs (instead of the paper's 15) keeps the test quick; the
-    // `thandshake_stats` bench binary runs the full 15.
+    // Thandshake row of the `paper_claims` table runs the full 15.
     let report = Suite::new(roaming(0, 30, 40, 80))
         .over_seeds(100..105)
         .run()
