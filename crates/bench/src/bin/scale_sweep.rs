@@ -1,13 +1,13 @@
 //! Scale sweep: wall-clock cost and peak resident memory of full
-//! experiment runs across fleet sizes, shard counts and retention
-//! policies — the performance trajectory of the testbed. Writes the grid
+//! experiment runs across fleet sizes and retention policies — the
+//! performance trajectory of the testbed. Writes the grid
 //! as machine-readable `BENCH_scale.json`.
 //!
 //! ```bash
 //! cargo run --release -p rtem-bench --bin scale_sweep              # full sweep
 //! cargo run --release -p rtem-bench --bin scale_sweep -- --smoke   # CI gate
 //! cargo run --release -p rtem-bench --bin scale_sweep -- \
-//!     --cell 1000 --horizon 600 --shards 4 --bounded 2
+//!     --cell 1000 --horizon 600 --bounded 2
 //! ```
 //!
 //! Every cell of the full sweep runs in its *own subprocess* (this binary
@@ -58,7 +58,6 @@ struct CellSpec {
     /// `Some(w)` caps resident aggregator state to `w` active verification
     /// windows (sealed summaries stand in for the evicted rest).
     bounded_windows: Option<u64>,
-    shards: u64,
 }
 
 impl CellSpec {
@@ -67,7 +66,6 @@ impl CellSpec {
             devices,
             horizon_s,
             bounded_windows: None,
-            shards: 1,
         }
     }
 
@@ -76,16 +74,6 @@ impl CellSpec {
             devices,
             horizon_s,
             bounded_windows: Some(windows),
-            shards: 1,
-        }
-    }
-
-    const fn sharded(devices: u32, horizon_s: u64, shards: u64) -> CellSpec {
-        CellSpec {
-            devices,
-            horizon_s,
-            bounded_windows: None,
-            shards,
         }
     }
 
@@ -124,9 +112,6 @@ fn run_cell(cell: CellSpec) -> CellResult {
     if let Some(windows) = cell.bounded_windows {
         spec = spec.with_bounded_memory(windows as usize);
     }
-    if cell.shards > 1 {
-        spec = spec.with_shards(cell.shards as usize);
-    }
     let start = Instant::now();
     let report = Experiment::new(spec).run().expect("sweep cells are valid");
     let wall = start.elapsed();
@@ -160,20 +145,19 @@ fn json_mb(value: Option<f64>) -> String {
 }
 
 /// One cell as a single JSON line (no indentation; the snapshot writer
-/// indents). Field order keeps `devices` first and distinguishing knobs
-/// (`shards`, `retention`) early so committed snapshots stay line-greppable
-/// without a JSON parser in the offline vendor set.
+/// indents). Field order keeps `devices` first and the distinguishing
+/// `retention` early so committed snapshots stay line-greppable without a
+/// JSON parser in the offline vendor set.
 fn cell_json(cell: &CellResult) -> String {
     format!(
         concat!(
-            "{{\"devices\": {}, \"horizon_s\": {}, \"shards\": {}, \"retention\": \"{}\", ",
+            "{{\"devices\": {}, \"horizon_s\": {}, \"retention\": \"{}\", ",
             "\"wall_ms\": {}, \"sim_x_realtime\": {:.1}, \"device_ticks_per_wall_s\": {:.0}, ",
             "\"blocks\": {}, \"ledger_entries\": {}, \"reports_accepted\": {}, ",
             "\"peak_rss_mb\": {}, \"mean_overhead_percent\": {}}}"
         ),
         cell.spec.devices,
         cell.spec.horizon_s,
-        cell.spec.shards,
         cell.spec.retention_label(),
         cell.wall_ms,
         cell.sim_x_realtime,
@@ -196,9 +180,7 @@ fn spawn_cell(cell: CellSpec) -> Option<String> {
         .arg("--cell")
         .arg(cell.devices.to_string())
         .arg("--horizon")
-        .arg(cell.horizon_s.to_string())
-        .arg("--shards")
-        .arg(cell.shards.to_string());
+        .arg(cell.horizon_s.to_string());
     if let Some(windows) = cell.bounded_windows {
         command.arg("--bounded").arg(windows.to_string());
     }
@@ -238,12 +220,9 @@ fn snapshot_path(mode: &str) -> &'static str {
 
 fn write_snapshot(lines: &[String], mode: &str) {
     let joined = lines.join("\n");
-    let speedup_1k = cell_line(
-        &joined,
-        &["\"devices\": 1000,", "\"shards\": 1,", "keep_all"],
-    )
-    .and_then(|l| field_u128(l, "wall_ms"))
-    .map(|wall| SEED_LOOP_1K_WALL_MS as f64 / wall as f64);
+    let speedup_1k = cell_line(&joined, &["\"devices\": 1000,", "keep_all"])
+        .and_then(|l| field_u128(l, "wall_ms"))
+        .map(|wall| SEED_LOOP_1K_WALL_MS as f64 / wall as f64);
     let json = format!(
         concat!(
             "{{\n",
@@ -307,11 +286,7 @@ fn smoke() {
     let keep_all_line = |devices: u32| {
         cell_line(
             committed.as_deref()?,
-            &[
-                &format!("\"devices\": {devices},"),
-                "\"shards\": 1,",
-                "keep_all",
-            ],
+            &[&format!("\"devices\": {devices},"), "keep_all"],
         )
     };
     let committed_smoke = keep_all_line(smoke_spec.devices).and_then(|l| field_u128(l, "wall_ms"));
@@ -396,7 +371,6 @@ fn main() {
             devices: devices as u32,
             horizon_s,
             bounded_windows: arg_value(&args, "--bounded"),
-            shards: arg_value(&args, "--shards").unwrap_or(1),
         };
         println!("{}", cell_json(&run_cell(cell)));
         return;
@@ -408,8 +382,7 @@ fn main() {
     }
 
     // Full sweep. Every keep-all cell shares the 600 s horizon so rows are
-    // directly comparable; the 1000-device cell repeats at 4 shards
-    // (parallel tick compute, bit-identical result) and under bounded
+    // directly comparable; the 1000-device cell repeats under bounded
     // retention (same digest, bounded resident state). The 50k and 100k
     // cells run 60 s — at those sizes the horizon-normalized
     // `device_ticks_per_wall_s` column carries the comparison, and
@@ -420,7 +393,6 @@ fn main() {
         CellSpec::keep_all(100, 600),
         CellSpec::bounded(100, 600, 2),
         CellSpec::keep_all(1000, 600),
-        CellSpec::sharded(1000, 600, 4),
         CellSpec::bounded(1000, 600, 2),
         CellSpec::bounded(5000, 600, 2),
         CellSpec::bounded(50_000, 60, 2),
@@ -434,11 +406,8 @@ fn main() {
         lines.push(line);
     }
     let joined = lines.join("\n");
-    if let Some(wall) = cell_line(
-        &joined,
-        &["\"devices\": 1000,", "\"shards\": 1,", "keep_all"],
-    )
-    .and_then(|l| field_u128(l, "wall_ms"))
+    if let Some(wall) = cell_line(&joined, &["\"devices\": 1000,", "keep_all"])
+        .and_then(|l| field_u128(l, "wall_ms"))
     {
         println!(
             "# 1k devices x 600 s: {} ms ({:.0}x vs the seed loop's {} ms)",

@@ -37,13 +37,14 @@ impl DeviceTable {
         }
     }
 
-    /// Stores `device` and returns its slot. An id already present keeps
-    /// its slot, and `device` replaces the device stored there.
-    pub(crate) fn insert(&mut self, device: MeteringDevice) -> u32 {
+    /// Stores `device` and returns its slot and whether the slot is new. An
+    /// id already present keeps its slot, and `device` replaces the device
+    /// stored there.
+    pub(crate) fn insert(&mut self, device: MeteringDevice) -> (u32, bool) {
         let id = device.id();
         if let Some(&slot) = self.index.get(&id) {
             *self.at_mut(slot) = device;
-            return slot;
+            return (slot, false);
         }
         let slot = u32::try_from(self.index.len()).expect("fewer than 2^32 devices");
         match self.chunks.last_mut() {
@@ -55,7 +56,7 @@ impl DeviceTable {
             }
         }
         self.index.insert(id, slot);
-        slot
+        (slot, true)
     }
 
     /// Number of devices.
@@ -113,15 +114,6 @@ impl DeviceTable {
     pub(crate) fn iter(&self) -> impl Iterator<Item = (DeviceId, &MeteringDevice)> + '_ {
         self.index.iter().map(|(&id, &slot)| (id, self.at(slot)))
     }
-
-    /// Every device with its slot, mutably, in slot order.
-    pub(crate) fn slots_mut(&mut self) -> impl Iterator<Item = (u32, &mut MeteringDevice)> + '_ {
-        self.chunks
-            .iter_mut()
-            .flatten()
-            .enumerate()
-            .map(|(slot, device)| (slot as u32, device))
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +141,7 @@ mod tests {
     fn slots_follow_add_order_and_walks_follow_id_order() {
         let mut table = DeviceTable::new();
         for (i, id) in [9, 3, 200, 1].into_iter().enumerate() {
-            assert_eq!(table.insert(device(id, 100.0)), i as u32);
+            assert_eq!(table.insert(device(id, 100.0)), (i as u32, true));
         }
         // Spill over into a third chunk.
         for id in 1000..1000 + 2 * CHUNK as u64 {
@@ -163,15 +155,9 @@ mod tests {
         for (id, device) in table.iter() {
             assert_eq!(device.id(), id);
         }
-        let by_slot: Vec<(u32, DeviceId)> = table
-            .slots_mut()
-            .map(|(slot, device)| (slot, device.id()))
-            .collect();
-        assert_eq!(by_slot.len(), table.len());
-        for (i, (slot, id)) in by_slot.into_iter().enumerate() {
-            assert_eq!(slot, i as u32);
+        for slot in 0..table.len() as u32 {
+            let id = table.at(slot).id();
             assert_eq!(table.slot(id), Some(slot));
-            assert_eq!(table.at(slot).id(), id);
         }
     }
 
@@ -179,13 +165,14 @@ mod tests {
     fn re_adding_an_id_overwrites_its_slot() {
         let mut table = DeviceTable::new();
         table.insert(device(1, 100.0));
-        let slot = table.insert(device(2, 100.0));
+        let (slot, fresh) = table.insert(device(2, 100.0));
+        assert!(fresh);
         let now = rtem_sim::time::SimTime::from_secs(1);
         table
             .at_mut(slot)
             .plug_in(now, BranchId(0), Position::new(0.0, 0.0));
         assert!(table.get(DeviceId(2)).unwrap().is_plugged());
-        assert_eq!(table.insert(device(2, 700.0)), slot);
+        assert_eq!(table.insert(device(2, 700.0)), (slot, false));
         assert_eq!(table.len(), 2);
         assert!(!table.at(slot).is_plugged(), "the fresh device replaced it");
     }

@@ -305,12 +305,6 @@ pub struct WorldConfig {
     /// measurement series at every window end; the run report stays
     /// bit-identical with keep-all.
     pub retention: RetentionPolicy,
-    /// Worker lanes for the sharded tick executor (see
-    /// [`World::run_until`]). 1 keeps the classic sequential loop; N > 1
-    /// partitions each barrier-delimited batch of device ticks across N
-    /// scoped threads, with outputs applied in queue order so results are
-    /// bit-identical for every shard count.
-    pub shards: usize,
 }
 
 impl Default for WorldConfig {
@@ -324,7 +318,6 @@ impl Default for WorldConfig {
             tariff: Tariff::default(),
             seed: 42,
             retention: RetentionPolicy::KeepAll,
-            shards: 1,
         }
     }
 }
@@ -552,14 +545,6 @@ pub struct World {
     outbound_scratch: Vec<rtem_device::device::Outbound>,
     /// Scratch buffer for per-branch loads during upstream sampling.
     loads_scratch: Vec<(BranchId, rtem_sensors::energy::Milliamps)>,
-    /// Scratch slot list of the tick batch being dispatched, in pop order.
-    tick_batch_scratch: Vec<u32>,
-    /// Scratch set guarding the batch against duplicate device slots (a
-    /// device has one pending tick unless its id was added twice).
-    tick_seen_scratch: BTreeSet<u32>,
-    /// Scratch per-device outcomes of the batch compute phase, reused so
-    /// steady-state batching allocates nothing per batch.
-    tick_outcomes_scratch: Vec<TickOutcome>,
     /// Which meter protocol each device speaks. Absent means
     /// [`MeterKind::Internal`] — the native packet encoding, byte-identical
     /// with every earlier revision of the testbed.
@@ -635,111 +620,6 @@ impl core::fmt::Debug for World {
             .field("networks", &self.sites.len())
             .finish()
     }
-}
-
-/// Smallest number of devices worth handing to one worker lane. Batches
-/// shorter than two chunks run inline on the dispatcher thread — spawning
-/// for a handful of ticks costs more than it saves.
-const PARALLEL_MIN_CHUNK: usize = 16;
-
-/// Per-device result of the parallel compute phase of one tick batch.
-/// Everything a sequential `handle_measure_tick` would have produced before
-/// touching shared state, staged so the apply phase can replay it in exact
-/// pop order.
-#[derive(Default)]
-struct TickOutcome {
-    /// Whether the compute phase ran the tick. It always does, since
-    /// `collect_tick_batch` never lists a slot twice; an entry it skipped
-    /// would get dispatch bookkeeping only, no reschedule.
-    present: bool,
-    /// The device's last handshake before the tick, for completion
-    /// detection in the apply phase.
-    handshake_before: Option<HandshakeBreakdown>,
-    /// Packets the device wants published, in emission order.
-    outbound: Vec<rtem_device::device::Outbound>,
-}
-
-/// Collects disjoint mutable borrows of the devices in `slots`, in `slots`
-/// order. A slot listed twice yields `None` after its first occurrence;
-/// callers skip those entries.
-fn device_slots<'a>(
-    devices: &'a mut DeviceTable,
-    slots: &[u32],
-) -> Vec<Option<&'a mut MeteringDevice>> {
-    let wanted: BTreeSet<u32> = slots.iter().copied().collect();
-    let mut by_slot: BTreeMap<u32, &'a mut MeteringDevice> = devices
-        .slots_mut()
-        .filter(|(slot, _)| wanted.contains(slot))
-        .collect();
-    slots.iter().map(|slot| by_slot.remove(slot)).collect()
-}
-
-/// Fans `f` over the slot/result pairs on up to `shards` scoped worker
-/// lanes, returning `(lane, wall_nanos)` per lane that ran on its own
-/// thread (empty when the whole batch ran inline). Each lane owns a
-/// contiguous chunk, so results land in their slots no matter how the OS
-/// schedules the threads — the caller's apply order alone decides the
-/// simulation outcome.
-fn fan_out<R, F>(
-    slots: &mut [Option<&mut MeteringDevice>],
-    results: &mut [R],
-    shards: usize,
-    f: F,
-) -> Vec<(usize, u64)>
-where
-    R: Send,
-    F: Fn(&mut MeteringDevice, &mut R) + Sync,
-{
-    let total = slots.len();
-    let workers = shards.min(total / PARALLEL_MIN_CHUNK).max(1);
-    if workers == 1 {
-        for (slot, result) in slots.iter_mut().zip(results.iter_mut()) {
-            if let Some(device) = slot.as_deref_mut() {
-                f(device, result);
-            }
-        }
-        return Vec::new();
-    }
-    let chunk = total.div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        let mut slots_rest = slots;
-        let mut results_rest = results;
-        let mut lane = 1usize;
-        while slots_rest.len() > chunk {
-            let (slot_chunk, tail) = slots_rest.split_at_mut(chunk);
-            slots_rest = tail;
-            let (result_chunk, tail) = results_rest.split_at_mut(chunk);
-            results_rest = tail;
-            let this_lane = lane;
-            lane += 1;
-            handles.push(scope.spawn(move || {
-                let started = std::time::Instant::now();
-                for (slot, result) in slot_chunk.iter_mut().zip(result_chunk.iter_mut()) {
-                    if let Some(device) = slot.as_deref_mut() {
-                        f(device, result);
-                    }
-                }
-                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                (this_lane, nanos)
-            }));
-        }
-        // Lane 0 is the dispatcher thread itself, working the tail chunk
-        // while the spawned lanes run.
-        let started = std::time::Instant::now();
-        for (slot, result) in slots_rest.iter_mut().zip(results_rest.iter_mut()) {
-            if let Some(device) = slot.as_deref_mut() {
-                f(device, result);
-            }
-        }
-        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut lanes = vec![(0usize, nanos)];
-        for handle in handles {
-            lanes.push(handle.join().expect("worker lane panicked"));
-        }
-        lanes
-    })
 }
 
 /// Mangles raw telegram bytes per the fault's declared mode. A `None` rng
@@ -860,9 +740,6 @@ impl World {
             armed_backhaul_polls: BTreeSet::new(),
             outbound_scratch: Vec::new(),
             loads_scratch: Vec::new(),
-            tick_batch_scratch: Vec::new(),
-            tick_seen_scratch: BTreeSet::new(),
-            tick_outcomes_scratch: Vec::new(),
             device_meter_kinds: BTreeMap::new(),
             wire: WireStats::default(),
             telegram_log: None,
@@ -961,12 +838,16 @@ impl World {
             },
         );
         self.client_endpoints.insert(client, Endpoint::Device(id));
-        let slot = self.devices.insert(device);
-        // Start the measurement timer.
-        self.scheduler.schedule(
-            self.now() + self.config.t_measure,
-            WorldEvent::MeasureTick(slot),
-        );
+        // Start the measurement timer. A re-added id keeps its slot, whose
+        // timer is already armed; a second one would tick it twice per
+        // Tmeasure.
+        let (slot, fresh) = self.devices.insert(device);
+        if fresh {
+            self.scheduler.schedule(
+                self.now() + self.config.t_measure,
+                WorldEvent::MeasureTick(slot),
+            );
+        }
     }
 
     /// Immediately plugs `device` into `network`'s grid.
@@ -1496,14 +1377,6 @@ impl World {
             // scheduled events) leaves the scheduler untouched, so the
             // simulation is trivially bit-identical with telemetry off.
             self.emit_due_snapshots(next);
-            // Sharded runs peel maximal runs of simultaneous device ticks
-            // off the queue front and fan their compute across worker
-            // lanes; everything else (and every single-shard run) takes
-            // the plain sequential path below.
-            if self.config.shards > 1 && self.collect_tick_batch(next) {
-                self.dispatch_tick_batch(next);
-                continue;
-            }
             let depth = self.scheduler.queue_mut().len();
             if depth > self.queue_high_water {
                 self.queue_high_water = depth;
@@ -1514,138 +1387,6 @@ impl World {
         // Events beyond the horizon are still queued, so every remaining
         // grid point up to the horizon is already fully covered.
         self.emit_snapshots_through(horizon);
-    }
-
-    /// Pops the maximal run of simultaneous `MeasureTick` events for
-    /// distinct devices at the queue front into `tick_batch_scratch`.
-    /// Returns `false` — leaving the queue untouched — when the front event
-    /// is anything else.
-    ///
-    /// Only *equal-time* ticks batch: an event scheduled while the batch
-    /// applies (a broker poll armed at `now`, a rescheduled tick) always
-    /// carries a higher sequence number than every already-queued tick at
-    /// `now`, so it sorts after the whole batch exactly as it would have
-    /// sorted after the remaining ticks sequentially. A tick at a *later*
-    /// time offers no such guarantee (an apply could schedule ahead of it),
-    /// so the batch cuts there.
-    fn collect_tick_batch(&mut self, at: SimTime) -> bool {
-        let queue = self.scheduler.queue_mut();
-        if !matches!(queue.peek(), Some((t, WorldEvent::MeasureTick(_))) if t == at) {
-            return false;
-        }
-        self.tick_batch_scratch.clear();
-        self.tick_seen_scratch.clear();
-        while let Some((t, &WorldEvent::MeasureTick(slot))) = queue.peek() {
-            if t != at || !self.tick_seen_scratch.insert(slot) {
-                break;
-            }
-            queue.pop();
-            self.tick_batch_scratch.push(slot);
-        }
-        true
-    }
-
-    /// Dispatches the batch collected by
-    /// [`collect_tick_batch`](Self::collect_tick_batch) in two phases:
-    /// device-local tick compute fanned across the configured worker
-    /// lanes, then a sequential apply replaying every shared-state effect
-    /// (handshake notifications, broker publishes, reschedules, telemetry
-    /// bookkeeping) in exact pop order. The apply order alone touches
-    /// shared state, so any shard count reproduces the sequential run
-    /// bit for bit.
-    fn dispatch_tick_batch(&mut self, now: SimTime) {
-        let batch = std::mem::take(&mut self.tick_batch_scratch);
-        let total = batch.len();
-        let mut results = std::mem::take(&mut self.tick_outcomes_scratch);
-        if results.len() < total {
-            results.resize_with(total, TickOutcome::default);
-        }
-        for outcome in &mut results[..total] {
-            outcome.present = false;
-            outcome.handshake_before = None;
-            outcome.outbound.clear();
-        }
-        // Compute phase: each lane works its own devices against the
-        // shared read-only radio environment.
-        let lanes = {
-            let mut slots = device_slots(&mut self.devices, &batch);
-            let radio = &self.radio;
-            fan_out(
-                &mut slots,
-                &mut results[..total],
-                self.config.shards,
-                |device, outcome: &mut TickOutcome| {
-                    outcome.handshake_before = device.last_handshake();
-                    device.on_measure_tick_into(now, radio, &mut outcome.outbound);
-                    outcome.present = true;
-                },
-            )
-        };
-        if !lanes.is_empty() {
-            if let Some(profiler) = self
-                .telemetry
-                .as_mut()
-                .and_then(|runtime| runtime.profiler.as_mut())
-            {
-                for (lane, nanos) in lanes {
-                    profiler.record_lane(lane, nanos);
-                }
-            }
-        }
-        // Apply phase, in exact pop order. The queue-depth sample the
-        // sequential loop takes before popping tick `i` is reconstructed
-        // as the live length plus the batch ticks not yet applied.
-        for (i, &slot) in batch.iter().enumerate() {
-            let depth = self.scheduler.queue_mut().len() + (total - i);
-            if depth > self.queue_high_water {
-                self.queue_high_water = depth;
-            }
-            let kind = WorldEvent::MeasureTick(slot).kind_index();
-            self.events_by_kind[kind] += 1;
-            if let Some(trace) = self
-                .telemetry
-                .as_mut()
-                .and_then(|runtime| runtime.trace.as_mut())
-            {
-                trace.push_span(WorldEvent::KIND_LABELS[kind], now.as_micros());
-            }
-            let started = self.telemetry.as_mut().and_then(|runtime| {
-                runtime.profiler.as_ref()?;
-                let tick = runtime.profile_tick;
-                runtime.profile_tick += 1;
-                (tick % u64::from(runtime.config.profile_sample_stride.max(1)) == 0)
-                    .then(std::time::Instant::now)
-            });
-            let outcome = &mut results[i];
-            if outcome.present {
-                let device_id = self.devices.at(slot).id();
-                self.note_handshake(slot, outcome.handshake_before, now);
-                for out in outcome.outbound.drain(..) {
-                    self.publish_uplink(device_id, out.to, out.packet, now);
-                }
-                let interval = self
-                    .measure_overrides
-                    .get(&device_id)
-                    .copied()
-                    .unwrap_or(self.config.t_measure);
-                self.scheduler
-                    .schedule(now + interval, WorldEvent::MeasureTick(slot));
-                self.arm_broker_poll(now);
-            }
-            if let Some(started) = started {
-                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                if let Some(profiler) = self
-                    .telemetry
-                    .as_mut()
-                    .and_then(|runtime| runtime.profiler.as_mut())
-                {
-                    profiler.record(kind, nanos);
-                }
-            }
-            self.trace_new_notifications();
-        }
-        self.tick_batch_scratch = batch;
-        self.tick_outcomes_scratch = results;
     }
 
     /// Counts, traces and (when configured) wall-clock-profiles one event
@@ -2027,50 +1768,13 @@ impl World {
         // Ground truth: sum the true currents of devices plugged into this
         // network's grid, evaluate the grid (losses) and let the aggregator's
         // own sensor observe the upstream total. The site's member index
-        // makes this one batch over the network's own population; sharded
-        // runs fan the per-device draws across worker lanes and splice the
-        // results back in member order, so the grid evaluation sees the
-        // same load vector either way.
+        // makes this one batch over the network's own population.
         let mut loads = std::mem::take(&mut self.loads_scratch);
         loads.clear();
         if let Some(site) = self.sites.get(&addr) {
-            if self.config.shards > 1 && site.members.len() >= 2 * PARALLEL_MIN_CHUNK {
-                let slots: Vec<u32> = site.members.values().map(|m| m.slot).collect();
-                let branches: Vec<BranchId> = site.members.values().map(|m| m.branch).collect();
-                let mut currents: Vec<Option<rtem_sensors::energy::Milliamps>> =
-                    vec![None; slots.len()];
-                let lanes = {
-                    let mut slots = device_slots(&mut self.devices, &slots);
-                    fan_out(
-                        &mut slots,
-                        &mut currents,
-                        self.config.shards,
-                        |device, current: &mut Option<rtem_sensors::energy::Milliamps>| {
-                            *current = Some(device.true_grid_current(now));
-                        },
-                    )
-                };
-                if !lanes.is_empty() {
-                    if let Some(profiler) = self
-                        .telemetry
-                        .as_mut()
-                        .and_then(|runtime| runtime.profiler.as_mut())
-                    {
-                        for (lane, nanos) in lanes {
-                            profiler.record_lane(lane, nanos);
-                        }
-                    }
-                }
-                for (branch, current) in branches.into_iter().zip(currents) {
-                    if let Some(current) = current {
-                        loads.push((branch, current));
-                    }
-                }
-            } else {
-                for member in site.members.values() {
-                    let current = self.devices.at_mut(member.slot).true_grid_current(now);
-                    loads.push((member.branch, current));
-                }
+            for member in site.members.values() {
+                let current = self.devices.at_mut(member.slot).true_grid_current(now);
+                loads.push((member.branch, current));
             }
         }
         // The grid sums in branch order, which differs from member order
@@ -3700,6 +3404,16 @@ mod tests {
         world.run_until(SimTime::from_secs(60));
         assert_eq!(world.device_count(), 7);
         assert_eq!(world.device_network(DeviceId(2)), Some(AggregatorAddr(2)));
+        // The re-added device keeps one measurement timer, so it records
+        // at the same cadence as its neighbours.
+        let buffered = |id: u64| {
+            world
+                .device(DeviceId(id))
+                .unwrap()
+                .counters()
+                .records_buffered
+        };
+        assert_eq!(buffered(3), buffered(1));
 
         let mut text = format!("{:#?}\n", world.metrics());
         for addr in world.networks() {
@@ -3721,7 +3435,7 @@ mod tests {
         }
         assert_eq!(
             rtem_chain::sha256::Sha256::digest(text.as_bytes()).to_hex(),
-            "10dd971fb9d243d49c21fce5fa35098a38190a6b89e21d6a22d0632dd09e7810"
+            "f70268fda3b5ac721185729fce6507b215a89b14fbf0a18ebf125a468c82f785"
         );
     }
 

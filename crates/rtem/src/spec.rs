@@ -46,6 +46,13 @@ const DEVICE_ID_BLOCK: u32 = 100;
 /// constant time instead of exhausting memory.
 const MAX_DEVICES: u64 = 1_000_000;
 
+/// Most networks one scenario may declare (`networks + empty_networks`):
+/// 20× the largest benchmark workload (50 networks). Every network joins a
+/// full backhaul mesh, so a world of N networks holds N(N − 1) links:
+/// building 2,000 networks took 5.5 s and 910 MB (release build, 2-core
+/// machine). Validation checks it before building any address list.
+const MAX_NETWORKS: u32 = 1_000;
+
 /// Which load is attached to each generated device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceLoad {
@@ -119,8 +126,8 @@ pub enum SpecError {
     NoNetworks,
     /// The spec declares zero devices per network — nothing reports.
     NoDevices,
-    /// `networks + empty_networks` does not fit the address space — the
-    /// spec would overflow instead of enumerating its networks.
+    /// `networks + empty_networks` exceeds the most networks one scenario
+    /// may hold (1,000).
     TooManyNetworks {
         /// Declared populated networks.
         networks: u32,
@@ -183,9 +190,6 @@ pub enum SpecError {
     /// The spec's telemetry configuration is incoherent (zero snapshot
     /// interval or zero profiler sampling stride).
     InvalidTelemetry,
-    /// The spec declares zero shards — the event loop needs at least one
-    /// worker lane to execute on.
-    ZeroShards,
 }
 
 impl fmt::Display for SpecError {
@@ -198,7 +202,8 @@ impl fmt::Display for SpecError {
                 empty_networks,
             } => write!(
                 f,
-                "{networks} networks + {empty_networks} empty networks overflow the address space"
+                "{networks} networks + {empty_networks} empty networks exceed the \
+                 {MAX_NETWORKS}-network limit of one scenario"
             ),
             SpecError::TooManyDevicesPerNetwork {
                 devices_per_network,
@@ -236,7 +241,6 @@ impl fmt::Display for SpecError {
                      sampling stride must be non-zero"
                 )
             }
-            SpecError::ZeroShards => write!(f, "scenario declares zero shards"),
         }
     }
 }
@@ -320,10 +324,6 @@ pub struct ScenarioSpec {
     /// default) records nothing. Either way the simulation outcome is
     /// bit-identical — telemetry only reads state the run already keeps.
     pub telemetry: Option<TelemetryConfig>,
-    /// Worker lanes the event loop may fan device ticks across. `1` (the
-    /// default) runs fully sequentially; any value produces bit-identical
-    /// reports — sharding only changes wall-clock time, never outcomes.
-    pub shards: usize,
     /// Ledger / series retention policy. `KeepAll` (the default) retains
     /// the complete run history in memory; `ActiveWindows(n)` seals and
     /// evicts everything older than `n` verification windows behind a
@@ -358,7 +358,6 @@ impl ScenarioSpec {
             fault_plan: FaultPlan::new(),
             control_plan: ControlPlan::new(),
             telemetry: None,
-            shards: 1,
             retention: RetentionPolicy::KeepAll,
         }
     }
@@ -548,18 +547,12 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the number of worker lanes the event loop fans device ticks
-    /// across. Any shard count produces bit-identical reports; pick the
-    /// core count for the fastest wall clock on large fleets.
-    ///
-    /// ```
-    /// use rtem::prelude::*;
-    ///
-    /// let spec = ScenarioSpec::paper_testbed(1).with_shards(4);
-    /// assert_eq!(spec.validate(), Ok(()));
-    /// ```
-    pub fn with_shards(mut self, shards: usize) -> ScenarioSpec {
-        self.shards = shards;
+    /// Returns the spec unchanged: the event loop is sequential. Kept only
+    /// because the benchmark under `perfbench/` still calls
+    /// `with_shards(1)`, and that package changes only together with the
+    /// benchmark itself; the shim goes once that call is dropped.
+    #[doc(hidden)]
+    pub fn with_shards(self, _shards: usize) -> ScenarioSpec {
         self
     }
 
@@ -641,6 +634,12 @@ impl ScenarioSpec {
                 limit: MAX_DEVICES,
             });
         }
+        if self.networks + self.empty_networks > MAX_NETWORKS {
+            return Err(SpecError::TooManyNetworks {
+                networks: self.networks,
+                empty_networks: self.empty_networks,
+            });
+        }
         if self.horizon.is_zero() {
             return Err(SpecError::ZeroHorizon);
         }
@@ -652,9 +651,6 @@ impl ScenarioSpec {
         }
         if self.verification_window.is_zero() {
             return Err(SpecError::ZeroVerificationWindow);
-        }
-        if self.shards == 0 {
-            return Err(SpecError::ZeroShards);
         }
         let devices = self.device_ids();
         let networks = self.network_addrs();
@@ -712,7 +708,6 @@ impl ScenarioSpec {
             tariff: self.tariff.clone(),
             seed: self.seed,
             retention: self.retention,
-            shards: self.shards.max(1),
         });
         let position = |i: u32| Position::new(NETWORK_SPACING_M * f64::from(i), 0.0);
         for n in 0..self.networks {
@@ -815,6 +810,37 @@ mod tests {
             spec.validate(),
             Err(SpecError::TooManyNetworks { .. })
         ));
+        // Addressable but too many to build: every network joins a full
+        // backhaul mesh, so these are rejected before any address exists.
+        let spec = ScenarioSpec::paper_testbed(1).with_empty_networks(1_000_000);
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError::TooManyNetworks {
+                networks: 2,
+                empty_networks: 1_000_000
+            })
+        );
+        let spec = ScenarioSpec::paper_testbed(1)
+            .with_networks(10_000)
+            .with_devices_per_network(1);
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError::TooManyNetworks {
+                networks: 10_000,
+                empty_networks: 0
+            })
+        );
+        // The limit itself is allowed: 1,000 networks in total.
+        let spec = ScenarioSpec::paper_testbed(1).with_empty_networks(998);
+        assert_eq!(spec.validate(), Ok(()));
+        let spec = ScenarioSpec::paper_testbed(1).with_empty_networks(999);
+        assert_eq!(
+            spec.validate(),
+            Err(SpecError::TooManyNetworks {
+                networks: 2,
+                empty_networks: 999
+            })
+        );
     }
 
     #[test]
@@ -1056,14 +1082,12 @@ mod tests {
     fn customization_reaches_the_world_config() {
         let spec = ScenarioSpec::paper_testbed(9)
             .with_verification_window(SimDuration::from_secs(5))
-            .with_bounded_memory(3)
-            .with_shards(2);
+            .with_bounded_memory(3);
         let world = build(spec);
         let config = world.config();
         assert_eq!(config.seed, 9);
         assert_eq!(config.verification_window, SimDuration::from_secs(5));
         assert_eq!(config.retention, RetentionPolicy::ActiveWindows(3));
-        assert_eq!(config.shards, 2);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod trace;
 
 pub use config::TelemetryConfig;
 pub use metric::{MetricId, MetricScope};
-pub use profiler::{DispatchProfile, DispatchProfiler, Histogram, KindProfile, LaneProfile};
+pub use profiler::{DispatchProfile, DispatchProfiler, Histogram, KindProfile};
 pub use registry::{CodecFailureTable, MetricsRegistry, MetricsSnapshot};
 pub use report::TelemetryReport;
 pub use trace::{TraceEvent, TraceLog, TracePhase};

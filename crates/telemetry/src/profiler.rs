@@ -105,7 +105,6 @@ impl Histogram {
 pub struct DispatchProfiler {
     labels: &'static [&'static str],
     histograms: Vec<Histogram>,
-    lanes: Vec<Histogram>,
 }
 
 impl DispatchProfiler {
@@ -114,7 +113,6 @@ impl DispatchProfiler {
         DispatchProfiler {
             labels,
             histograms: vec![Histogram::new(); labels.len()],
-            lanes: Vec::new(),
         }
     }
 
@@ -124,23 +122,13 @@ impl DispatchProfiler {
         self.histograms[kind].record(nanos);
     }
 
-    /// Records the wall-clock time one worker lane spent computing a batch
-    /// of parallel dispatches. Lanes grow on demand, so a single profiler
-    /// serves runs of any shard count.
-    pub fn record_lane(&mut self, lane: usize, nanos: u64) {
-        if lane >= self.lanes.len() {
-            self.lanes.resize(lane + 1, Histogram::new());
-        }
-        self.lanes[lane].record(nanos);
-    }
-
     /// Total dispatches recorded across all kinds.
     pub fn total_count(&self) -> u64 {
         self.histograms.iter().map(Histogram::count).sum()
     }
 
     /// Freezes the profiler into its report form, dropping kinds that never
-    /// fired and lanes that never ran.
+    /// fired.
     pub fn finish(self) -> DispatchProfile {
         DispatchProfile {
             entries: self
@@ -149,13 +137,6 @@ impl DispatchProfiler {
                 .zip(self.histograms)
                 .filter(|(_, h)| h.count() > 0)
                 .map(|(&label, histogram)| KindProfile { label, histogram })
-                .collect(),
-            lanes: self
-                .lanes
-                .into_iter()
-                .enumerate()
-                .filter(|(_, h)| h.count() > 0)
-                .map(|(lane, histogram)| LaneProfile { lane, histogram })
                 .collect(),
         }
     }
@@ -170,26 +151,12 @@ pub struct KindProfile {
     pub histogram: Histogram,
 }
 
-/// Wall-clock batch-compute cost of one worker lane of the sharded
-/// event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaneProfile {
-    /// The lane's index (0-based; lane 0 is the dispatcher thread).
-    pub lane: usize,
-    /// Per-batch wall-clock durations the lane spent computing.
-    pub histogram: Histogram,
-}
-
 /// The frozen profile: per-kind histograms of wall-clock dispatch cost,
 /// kinds that fired only, in the world's kind order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DispatchProfile {
     /// One entry per event kind that dispatched at least once.
     pub entries: Vec<KindProfile>,
-    /// One entry per worker lane that computed at least one parallel batch.
-    /// Empty in single-shard runs, where no batch compute happens off the
-    /// dispatcher thread.
-    pub lanes: Vec<LaneProfile>,
 }
 
 impl DispatchProfile {
@@ -256,23 +223,5 @@ mod tests {
         assert_eq!(profile.entries[0].histogram.count(), 2);
         assert!(profile.kind("b").is_none());
         assert_eq!(profile.total_ns(), 350);
-        assert!(profile.lanes.is_empty(), "no lanes recorded");
-    }
-
-    #[test]
-    fn lane_histograms_grow_on_demand_and_skip_idle_lanes() {
-        static LABELS: [&str; 1] = ["a"];
-        let mut profiler = DispatchProfiler::new(&LABELS);
-        profiler.record_lane(0, 500);
-        profiler.record_lane(3, 700);
-        profiler.record_lane(3, 900);
-        let profile = profiler.finish();
-        // Lanes 1 and 2 never ran, so only two entries survive.
-        assert_eq!(profile.lanes.len(), 2);
-        assert_eq!(profile.lanes[0].lane, 0);
-        assert_eq!(profile.lanes[0].histogram.count(), 1);
-        assert_eq!(profile.lanes[1].lane, 3);
-        assert_eq!(profile.lanes[1].histogram.count(), 2);
-        assert_eq!(profile.lanes[1].histogram.sum_ns(), 1600);
     }
 }
