@@ -6,11 +6,11 @@
 //! cargo run --release -p rtem-bench --bin paper_claims
 //! ```
 
-use rtem_bench::{markdown, measure_all};
+use rtem_bench::{markdown, measure_paper, PAPER_VALUE};
 
 fn main() {
-    let claims = measure_all();
-    print!("{}", markdown(&claims));
+    let claims = measure_paper();
+    print!("{}", markdown(PAPER_VALUE, &claims));
     let failed: Vec<&str> = claims
         .iter()
         .filter(|claim| !claim.holds)

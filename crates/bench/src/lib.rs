@@ -1,16 +1,22 @@
-//! # rtem-bench — the paper's claims as one asserted table
+//! # rtem-bench — the paper's claims and the system's claims as asserted tables
 //!
-//! Each row re-runs the experiment behind one numeric claim of the paper,
-//! with the seeds and parameters it names, and checks the deterministic
-//! measurement against the paper's value within a stated tolerance. The
-//! unit tests assert every row; the `paper_claims` binary prints the rows
-//! as the Markdown table README embeds and exits non-zero when one fails.
+//! Each row of the paper table re-runs the experiment behind one numeric
+//! claim of the paper, with the seeds and parameters it names, and checks
+//! the deterministic measurement against the paper's value within a stated
+//! tolerance. Each row of the system table ([`measure_system`]) runs one
+//! fixed grid of the system's own checks (fault detection, randomized
+//! campaigns, fleet commands, telegram framing, tariffs) against a bound.
+//! The unit tests assert every row; the `paper_claims` and `system_claims`
+//! binaries print the tables README embeds and exit non-zero when a row
+//! fails.
 //!
-//! The other binaries (`src/bin/*.rs`) write the committed `BENCH_*.json`
-//! files; `perfbench/` measures per-layer costs.
+//! `scale_sweep` and `obs_overhead` write the committed `BENCH_scale.json`
+//! and `BENCH_obs.json`; `perfbench/` measures per-layer costs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod system;
 
 use std::ops::RangeInclusive;
 
@@ -23,19 +29,28 @@ use rtem::net::packet::{MeasurementRecord, Packet};
 use rtem::prelude::*;
 use rtem::sensors::ina219::Ina219Config;
 
+pub use system::measure_system;
+
 /// The paper's band for the aggregator-over-devices gap (Fig. 5), percent.
 const FIG5_GAP_PERCENT: RangeInclusive<f64> = 0.9..=8.2;
 
 /// The paper's band for Thandshake over 15 runs (§III-B.b), seconds.
 const THANDSHAKE_S: RangeInclusive<f64> = 5.5..=6.5;
 
-/// One claim of the paper next to what this reproduction measures.
+/// Heading of the paper table's second column.
+pub const PAPER_VALUE: &str = "Paper value; tolerance";
+
+/// Heading of the system table's second column.
+pub const BOUND: &str = "Bound";
+
+/// One claim next to what this reproduction measures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Claim {
-    /// Where the paper makes the claim (e.g. `Fig. 5`) and what it claims.
+    /// What is claimed; for the paper, where it makes the claim (e.g.
+    /// `Fig. 5`).
     pub claim: &'static str,
-    /// The paper's value, then the tolerance the measurement must meet.
-    pub paper: &'static str,
+    /// The bound the measurement must meet; for the paper, its value first.
+    pub bound: &'static str,
     /// What this reproduction measures.
     pub measured: String,
     /// Seeds and parameters of the measurement.
@@ -44,8 +59,8 @@ pub struct Claim {
     pub holds: bool,
 }
 
-/// Measures every claim, in table order.
-pub fn measure_all() -> Vec<Claim> {
+/// Measures every claim of the paper, in table order.
+pub fn measure_paper() -> Vec<Claim> {
     vec![
         fig5_gap(),
         fig5_error_sources(),
@@ -58,17 +73,18 @@ pub fn measure_all() -> Vec<Claim> {
     ]
 }
 
-/// Renders claims as a Markdown table, one line per claim.
-pub fn markdown(claims: &[Claim]) -> String {
-    let mut out = String::from(
-        "| Claim | Paper value; tolerance | Measured | Seeds and parameters | Holds |\n\
-         |---|---|---|---|---|\n",
+/// Renders claims as a Markdown table, one line per claim, with
+/// `bound_heading` ([`PAPER_VALUE`] or [`BOUND`]) over the second column.
+pub fn markdown(bound_heading: &str, claims: &[Claim]) -> String {
+    let mut out = format!(
+        "| Claim | {bound_heading} | Measured | Seeds and parameters | Holds |\n\
+         |---|---|---|---|---|\n"
     );
     for c in claims {
         let holds = if c.holds { "yes" } else { "**no**" };
         out.push_str(&format!(
             "| {} | {} | {} | {} | {holds} |\n",
-            c.claim, c.paper, c.measured, c.seeds
+            c.claim, c.bound, c.measured, c.seeds
         ));
     }
     out
@@ -83,7 +99,7 @@ fn fig5_gap() -> Claim {
         .expect("windows settle in 120 s");
     Claim {
         claim: "Fig. 5 — the aggregator (centralized) reads above the device (decentralized) sum",
-        paper: "by 0.9–8.2 %; every settled window in the band",
+        bound: "by 0.9–8.2 %; every settled window in the band",
         measured: format!(
             "{} windows, {:.2}–{:.2} %, mean {:.2} %",
             gaps.count, gaps.min, gaps.max, gaps.mean
@@ -119,7 +135,7 @@ fn fig5_error_sources() -> Claim {
         .expect("windows settle in 80 s");
     Claim {
         claim: "Fig. 5 — the gap comes from ohmic losses plus the INA219 offset",
-        paper: "losses + 0.5 mA offset; every sensor's mean gap in 0.9–8.2 %, ideal included",
+        bound: "losses + 0.5 mA offset; every sensor's mean gap in 0.9–8.2 %, ideal included",
         measured: format!(
             "ideal sensor {:.3} %; offset {} mA: {} %",
             gaps[0],
@@ -138,7 +154,7 @@ fn fig6_backfill() -> Claim {
     let handshake_s = temporary_handshake_s(&report);
     Claim {
         claim: "Fig. 6 — records buffered in transit are backfilled and billed at home",
-        paper: "backfill after transit; backfilled records > 0, roamed charge > 0 billed at home, \
+        bound: "backfill after transit; backfilled records > 0, roamed charge > 0 billed at home, \
                 Thandshake in 5.5–6.5 s",
         measured: format!(
             "{} backfilled records, {:.1} mA·s roamed, Thandshake {}",
@@ -168,7 +184,7 @@ fn thandshake() -> Claim {
     let stats = HandshakeStats::from_durations(&durations);
     Claim {
         claim: "§III-B.b — Thandshake, the time to register abroad after plugging in",
-        paper: "≈ 6 s, 5.5–6.5 s over 15 runs; each run in 5.5–6.5 s",
+        bound: "≈ 6 s, 5.5–6.5 s over 15 runs; each run in 5.5–6.5 s",
         measured: format!(
             "mean {:.2} s, range {:.2}–{:.2} s over {} runs",
             stats.mean_s, stats.min_s, stats.max_s, stats.count
@@ -219,7 +235,7 @@ fn backhaul_delay() -> Claim {
     let means = AggregateStats::from_values(&means_ms).expect("four meshes");
     Claim {
         claim: "§III-B.b — forwarding between aggregators over the backhaul adds little delay",
-        paper: "≈ 1 ms; every mesh's mean in 1 ms ± 10 %, every message delivered over one hop",
+        bound: "≈ 1 ms; every mesh's mean in 1 ms ± 10 %, every message delivered over one hop",
         measured: format!(
             "mean {:.3}–{:.3} ms, max {max_ms:.3} ms, 1 hop",
             means.min, means.max
@@ -245,7 +261,7 @@ fn tdma_cap() -> Claim {
         .collect();
     Claim {
         claim: "§II-A — the TDMA slot budget caps an aggregator's members",
-        paper: "10 slots; members = min(devices, 10)",
+        bound: "10 slots; members = min(devices, 10)",
         measured: format!(
             "{} members of {} devices",
             join(members.iter().map(usize::to_string)),
@@ -296,7 +312,7 @@ fn tamper_proof_storage() -> Claim {
     }
     Claim {
         claim: "§II-A — tamper-proof storage: every rewrite is detected and localized",
-        paper: "tamper-proof; every cell detected and localized to its block",
+        bound: "tamper-proof; every cell detected and localized to its block",
         measured: format!("{localized} of 9 cells"),
         seeds: "seed 99; chains of 10 / 100 / 1000 blocks × 50 records; 1 / 5 / 20 rewrites",
         holds: localized == 9,
@@ -312,7 +328,7 @@ fn complementary_measurement() -> Claim {
     let flagged = percents.map(|percent| anomalous_windows(f64::from(percent) / 100.0, windows));
     Claim {
         claim: "§II-A — the complementary measurement flags under-reporting (static fleet)",
-        paper: "detected; honest: no window flagged, ≥ 20 % under-reported: every window flagged",
+        bound: "detected; honest: no window flagged, ≥ 20 % under-reported: every window flagged",
         measured: format!(
             "flagged windows of {windows} at {} % under-reported: {}",
             join(percents.iter().map(u32::to_string)),
@@ -409,7 +425,7 @@ mod tests {
             #[test]
             fn $row() {
                 let claim = super::$row();
-                let row = markdown(std::slice::from_ref(&claim));
+                let row = markdown(PAPER_VALUE, std::slice::from_ref(&claim));
                 assert!(claim.holds, "paper claim does not hold:\n{row}");
             }
         )*};
@@ -422,11 +438,30 @@ mod tests {
 
     #[test]
     fn readme_embeds_the_rendered_table() {
-        let table = markdown(&measure_all());
+        let table = markdown(PAPER_VALUE, &measure_paper());
         let block = format!("<!-- paper_claims:begin -->\n{table}<!-- paper_claims:end -->");
         assert!(
             include_str!("../../../README.md").contains(&block),
             "README's paper-claims table differs from the rendered one; replace it with:\n{table}"
+        );
+    }
+
+    // One test for the whole system table: each row's grid takes seconds in
+    // a debug build, so the table is measured once.
+    #[test]
+    fn system_claims_hold_and_readme_embeds_them() {
+        let claims = measure_system();
+        let failed: Vec<Claim> = claims.iter().filter(|c| !c.holds).cloned().collect();
+        assert!(
+            failed.is_empty(),
+            "system claims do not hold:\n{}",
+            markdown(BOUND, &failed)
+        );
+        let table = markdown(BOUND, &claims);
+        let block = format!("<!-- system_claims:begin -->\n{table}<!-- system_claims:end -->");
+        assert!(
+            include_str!("../../../README.md").contains(&block),
+            "README's system-claims table differs from the rendered one; replace it with:\n{table}"
         );
     }
 }

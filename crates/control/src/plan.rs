@@ -275,6 +275,10 @@ impl ControlPlan {
     /// Checks every event against the scenario population and horizon,
     /// returning the first inconsistency found.
     ///
+    /// `devices` and `networks` must be sorted ascending, as
+    /// `ScenarioSpec::device_ids` and `network_addrs` return them: each
+    /// membership check is a binary search.
+    ///
     /// # Errors
     ///
     /// Returns the first [`ControlError`] found.
@@ -284,16 +288,18 @@ impl ControlPlan {
         networks: &[AggregatorAddr],
         horizon: SimTime,
     ) -> Result<(), ControlError> {
+        debug_assert!(devices.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(networks.windows(2).all(|w| w[0] < w[1]));
         for event in &self.events {
             match event.target {
                 CommandTarget::AllDevices => {}
                 CommandTarget::Device(device) => {
-                    if !devices.contains(&device) {
+                    if devices.binary_search(&device).is_err() {
                         return Err(ControlError::UnknownDevice { device });
                     }
                 }
                 CommandTarget::Site(network) => {
-                    if !networks.contains(&network) {
+                    if networks.binary_search(&network).is_err() {
                         return Err(ControlError::UnknownNetwork { network });
                     }
                 }

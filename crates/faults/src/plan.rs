@@ -268,20 +268,26 @@ impl FaultPlan {
 
     /// Checks every event against the scenario population and horizon,
     /// returning the first inconsistency found.
+    ///
+    /// `devices` and `networks` must be sorted ascending, as
+    /// `ScenarioSpec::device_ids` and `network_addrs` return them: each
+    /// membership check is a binary search.
     pub fn validate(
         &self,
         devices: &[DeviceId],
         networks: &[AggregatorAddr],
         horizon: SimTime,
     ) -> Result<(), FaultPlanError> {
+        debug_assert!(devices.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(networks.windows(2).all(|w| w[0] < w[1]));
         for event in &self.events {
             if let Some(device) = event.device() {
-                if !devices.contains(&device) {
+                if devices.binary_search(&device).is_err() {
                     return Err(FaultPlanError::UnknownDevice { device });
                 }
             }
             if let Some(network) = event.network() {
-                if !networks.contains(&network) {
+                if networks.binary_search(&network).is_err() {
                     return Err(FaultPlanError::UnknownNetwork { network });
                 }
             }
@@ -318,7 +324,7 @@ impl FaultPlan {
                 FaultEvent::AggregatorOutage {
                     failover: Some(backup),
                     ..
-                } if !networks.contains(&backup) => {
+                } if networks.binary_search(&backup).is_err() => {
                     return Err(FaultPlanError::UnknownNetwork { network: backup });
                 }
                 FaultEvent::LinkDegrade { degraded, .. } => {

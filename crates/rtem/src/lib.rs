@@ -110,7 +110,7 @@ pub mod prelude {
     pub use crate::runner::{NetworkProgress, RunHandle, RunProgress};
     pub use crate::spec::{DeviceLoad, ScenarioSpec, ScriptEvent, SpecError};
     pub use crate::suite::{
-        AggregateStats, CellKey, Suite, SuiteAggregates, SuiteCell, SuiteConfig, SuiteReport,
+        AggregateStats, CellKey, Suite, SuiteAggregates, SuiteCell, SuiteReport,
     };
     pub use rtem_aggregator::aggregator::RetentionPolicy;
     pub use rtem_aggregator::billing::{CostBreakdown, Tariff, TariffError, TierRate, TouWindow};

@@ -578,14 +578,18 @@ impl ScenarioSpec {
         self
     }
 
-    /// All device ids the spec generates, in network-major order.
+    /// All device ids the spec generates, in network-major order. That
+    /// order is ascending whenever each network's devices fit its id block,
+    /// which [`validate`](Self::validate) checks before it binary-searches
+    /// the list.
     pub fn device_ids(&self) -> Vec<DeviceId> {
         (0..self.networks)
             .flat_map(|n| (0..self.devices_per_network).map(move |j| Self::device_id(n, j)))
             .collect()
     }
 
-    /// All network addresses the spec generates, empty networks included.
+    /// All network addresses the spec generates, empty networks included,
+    /// in ascending order.
     ///
     /// Saturates instead of overflowing on absurd totals so the accessor
     /// stays panic-free on unvalidated specs; [`validate`](Self::validate)
@@ -656,7 +660,7 @@ impl ScenarioSpec {
         let networks = self.network_addrs();
         let horizon = SimTime::ZERO + self.horizon;
         for event in &self.script {
-            if !devices.contains(&event.device()) {
+            if devices.binary_search(&event.device()).is_err() {
                 return Err(SpecError::UnknownScriptDevice {
                     device: event.device(),
                 });
@@ -667,7 +671,7 @@ impl ScenarioSpec {
                 ScriptEvent::Unplug { .. } => None,
             };
             if let Some(network) = target {
-                if !networks.contains(&network) {
+                if networks.binary_search(&network).is_err() {
                     return Err(SpecError::UnknownScriptNetwork { network });
                 }
             }
@@ -924,6 +928,22 @@ mod tests {
             spec.validate(),
             Err(SpecError::ScriptEventAfterHorizon { .. })
         ));
+        // The ids just past a network's block and past the last network are
+        // unknown; the last id of a large network is known.
+        let base = ScenarioSpec::paper_testbed(1);
+        for device in [
+            ScenarioSpec::device_id(0, base.devices_per_network),
+            ScenarioSpec::device_id(base.networks, 0),
+        ] {
+            let spec = base.clone().unplug_at(SimTime::from_secs(1), device);
+            assert_eq!(
+                spec.validate(),
+                Err(SpecError::UnknownScriptDevice { device })
+            );
+        }
+        let spec = ScenarioSpec::single_network(500, 1)
+            .unplug_at(SimTime::from_secs(1), ScenarioSpec::device_id(0, 499));
+        assert_eq!(spec.validate(), Ok(()));
     }
 
     #[test]

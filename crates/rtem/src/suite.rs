@@ -71,17 +71,6 @@ pub struct Suite {
     fault_plans: Vec<(String, FaultPlan)>,
     control_plans: Vec<(String, ControlPlan)>,
     threads: Option<usize>,
-    config: SuiteConfig,
-}
-
-/// Knobs for *how* a [`Suite`] executes, never for *what* it computes: every
-/// report field is bit-identical whatever the configuration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SuiteConfig {
-    /// When `true`, the pool logs each cell's start and finish (with its
-    /// wall time) to stderr while the sweep runs — progress visibility for
-    /// long grids. Purely diagnostic.
-    pub verbose: bool,
 }
 
 /// Coordinates of one cell in a suite's grid.
@@ -246,7 +235,6 @@ impl Suite {
             fault_plans: Vec::new(),
             control_plans: Vec::new(),
             threads: None,
-            config: SuiteConfig::default(),
         }
     }
 
@@ -365,20 +353,6 @@ impl Suite {
     /// available parallelism (capped at the cell count).
     pub fn with_threads(mut self, threads: usize) -> Suite {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Sets the execution knobs ([`SuiteConfig`]). Affects only how the
-    /// sweep runs, never the report.
-    pub fn with_config(mut self, config: SuiteConfig) -> Suite {
-        self.config = config;
-        self
-    }
-
-    /// Shorthand for toggling [`SuiteConfig::verbose`]: per-cell start /
-    /// finish progress lines on stderr.
-    pub fn verbose(mut self, verbose: bool) -> Suite {
-        self.config.verbose = verbose;
         self
     }
 
@@ -561,12 +535,9 @@ impl Suite {
             for _ in 0..threads {
                 scope.spawn(|| loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((key, spec)) = cells.get(index) else {
+                    let Some((_, spec)) = cells.get(index) else {
                         break;
                     };
-                    if self.config.verbose {
-                        eprintln!("[suite] cell {}/{} start: {key}", index + 1, cells.len());
-                    }
                     let cell_started = Instant::now();
                     let baseline = (!spec.fault_plan.is_empty()).then(|| {
                         let clean = spec.clone().with_fault_plan(FaultPlan::new());
@@ -585,14 +556,6 @@ impl Suite {
                             .expect("cell specs were validated before the pool started"),
                     };
                     let cell_wall = cell_started.elapsed();
-                    if self.config.verbose {
-                        eprintln!(
-                            "[suite] cell {}/{} done in {:.3} s: {key}",
-                            index + 1,
-                            cells.len(),
-                            cell_wall.as_secs_f64()
-                        );
-                    }
                     *slots[index].lock().expect("result slot") = Some((report, cell_wall));
                 });
             }
@@ -706,24 +669,6 @@ mod tests {
         assert_eq!(report.cells.len(), 1);
         assert_eq!(report.cells[0].spec, base);
         assert_eq!(report.aggregates.cell_runtime_s.count, 1);
-    }
-
-    #[test]
-    fn verbose_logging_leaves_the_report_unchanged() {
-        let base = ScenarioSpec::paper_testbed(4).with_horizon(SimDuration::from_secs(12));
-        let quiet = Suite::new(base.clone()).run().unwrap();
-        let verbose = Suite::new(base)
-            .with_config(SuiteConfig { verbose: true })
-            .run()
-            .unwrap();
-        assert_eq!(
-            format!("{:?}", quiet.cells[0].report.metrics),
-            format!("{:?}", verbose.cells[0].report.metrics)
-        );
-        assert_eq!(
-            quiet.aggregates.accuracy_overhead_percent,
-            verbose.aggregates.accuracy_overhead_percent
-        );
     }
 
     #[test]
