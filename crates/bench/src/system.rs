@@ -78,15 +78,22 @@ fn resilience() -> Claim {
         .control
         .as_ref()
         .expect("the storm has commands");
+    let recovered = storm_report
+        .world()
+        .devices()
+        .filter(|(_, device)| device.measure_interval() == SimDuration::from_millis(100))
+        .count();
+    let fleet = storm_report.world().devices().count();
     let fraction = |(detected, injected): (usize, usize)| format!("{detected}/{injected}");
     Claim {
         claim: "Resilience under injected faults — forgeries, loss bursts, colluding voters and \
                 corrupted telegrams are detected; a misconfiguration storm recovers",
         bound: "tamper and byzantine detection ≥ 0.99, corruption > 0.5, every `link/*` cell \
-                detected; storm completion 1.0",
+                detected; storm completion 1.0 and every device back on 100 ms",
         measured: format!(
             "tamper {}, corruption {}, byzantine {}, link {link_detected}/{link_cells} cells; \
-             storm {}/{} acked; {detected} of {injected} faults overall, undetected: {}",
+             storm {}/{} acked, {recovered}/{fleet} back on 100 ms; {detected} of {injected} \
+             faults overall, undetected: {}",
             fraction(tamper),
             fraction(corruption),
             fraction(byzantine),
@@ -104,7 +111,8 @@ fn resilience() -> Claim {
             && rate(corruption) > 0.5
             && link_detected == link_cells
             && rate(byzantine) >= 0.99
-            && storm.completion_rate() == Some(1.0),
+            && storm.completion_rate() == Some(1.0)
+            && recovered == fleet,
     }
 }
 
@@ -222,9 +230,9 @@ fn fault_plans() -> [(&'static str, FaultPlan); 22] {
 
 /// A retained bad configuration (a 5 s Tmeasure) blasted to the whole fleet
 /// in the middle of a 70 % wifi loss burst, then a retained recovery command
-/// while the burst is still on. QoS 2, because QoS 1's bounded retry budget
-/// can abandon a command outright in such a burst: retransmission pushes
-/// both commands through, and the recovery wins last-writer-wins.
+/// back to 100 ms while the burst is still on, both at QoS 2. The row checks
+/// that every device acks both commands and ends on the 100 ms Tmeasure, so
+/// the recovery won last-writer-wins.
 fn misconfig_storm(base: ScenarioSpec) -> ScenarioSpec {
     let t = SimTime::from_secs;
     let lossy = LinkConfig {

@@ -7,8 +7,10 @@
 //! measurement records awaiting acknowledgment, plus an integrity digest so
 //! locally buffered data cannot be altered unnoticed before transmission.
 
+use std::collections::VecDeque;
+
 use rtem_chain::sha256::{Digest, Sha256};
-use rtem_net::packet::MeasurementRecord;
+use rtem_net::packet::{DeviceId, MeasurementRecord};
 
 /// Outcome of pushing a record into the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,6 +22,12 @@ pub enum StoreOutcome {
 }
 
 /// Bounded store-and-forward buffer for unacknowledged measurements.
+///
+/// The store is a ring that never holds more than `capacity` slots of 24
+/// bytes each. A slot packs one record against the device id and base
+/// sequence the store keeps once; a record that does not fit one is kept
+/// whole in a side FIFO, behind a sentinel slot. Every record reads back
+/// bit-identical to the one pushed.
 ///
 /// # Examples
 ///
@@ -45,39 +53,78 @@ pub enum StoreOutcome {
 #[derive(Debug, Clone)]
 pub struct LocalStore {
     capacity: usize,
-    /// Backing storage. The live records are `records[head..]`; everything
-    /// before `head` is already evicted, acknowledged or drained for
-    /// transmission and awaits the next compaction. The offset turns
-    /// eviction and in-order acknowledgment into pointer bumps instead of
-    /// `Vec::remove(0)` memmoves — at fleet scale an unregistered device
-    /// fills its whole store and then evicts on *every* measurement tick,
-    /// which made the old representation quadratic in the run horizon.
-    /// Compaction keeps the dead prefix within `max(len, COMPACT_FLOOR)`,
-    /// so a reporting device with one or two live records holds a buffer
-    /// of a few dozen, not `capacity`.
-    records: Vec<MeasurementRecord>,
-    head: usize,
+    /// One slot per buffered record, oldest first. The allocation doubles
+    /// from [`MIN_SLOTS`] up to `capacity` and no further: once full, each
+    /// eviction frees the slot the next push reuses. An unregistered device
+    /// fills its store and then evicts on *every* measurement tick, so both
+    /// ends of the ring are O(1).
+    slots: VecDeque<Slot>,
+    /// The records that do not fit a [`Slot`], whole and oldest first; each
+    /// has an [`Slot::ESCAPED`] sentinel at its place in `slots`.
+    escaped: VecDeque<MeasurementRecord>,
+    /// Device and sequence the packed slots are relative to, both taken
+    /// from the record pushed into the empty store.
+    device: DeviceId,
+    base_sequence: u64,
+    /// Sequence of the newest push, and whether any push since the store
+    /// was last empty went below its predecessor (re-pushed backfill does).
+    last_sequence: u64,
+    unordered: bool,
     evicted: u64,
     total_stored: u64,
 }
 
-/// The dead prefix a [`LocalStore`] tolerates however few records are live,
-/// so a store holding one record compacts every few acknowledgments rather
-/// than on each one.
-const COMPACT_FLOOR: usize = 16;
+/// One buffered record, packed against its store's device and base sequence.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    end_us: u64,
+    /// Sequence minus the store's base sequence; the top bit is `backfilled`.
+    seq_off: u32,
+    /// Interval end minus start. `u32::MAX` marks an [`Slot::ESCAPED`] sentinel.
+    dur_us: u32,
+    mean_ua: u32,
+    charge_uas: u32,
+}
+
+const _: () = assert!(core::mem::size_of::<Slot>() == 24);
+
+impl Slot {
+    const BACKFILLED: u32 = 1 << 31;
+    /// Stands for the next record of the store's escape FIFO.
+    const ESCAPED: Slot = Slot {
+        end_us: 0,
+        seq_off: 0,
+        dur_us: u32::MAX,
+        mean_ua: 0,
+        charge_uas: 0,
+    };
+}
+
+/// The first allocation of a store's ring, doubled from there on.
+const MIN_SLOTS: usize = 4;
+
+/// Makes room for one more element in `queue`, doubling its allocation from
+/// [`MIN_SLOTS`] but never past `capacity`, which `queue.len()` is below.
+fn reserve_one<T>(queue: &mut VecDeque<T>, capacity: usize) {
+    if queue.len() == queue.capacity() {
+        let grown = (2 * queue.capacity()).max(MIN_SLOTS).min(capacity);
+        queue.reserve_exact(grown - queue.len());
+    }
+}
 
 impl PartialEq for LocalStore {
     fn eq(&self, other: &Self) -> bool {
-        // Equality is over the logical contents, not the compaction state.
+        // Equality is over the logical contents, not how they are packed.
         self.capacity == other.capacity
             && self.evicted == other.evicted
             && self.total_stored == other.total_stored
-            && self.peek_all() == other.peek_all()
+            && self.iter().eq(other.iter())
     }
 }
 
 impl LocalStore {
-    /// Creates a store holding at most `capacity` records.
+    /// Creates a store holding at most `capacity` records. It allocates
+    /// nothing until the first push.
     ///
     /// # Panics
     ///
@@ -86,8 +133,12 @@ impl LocalStore {
         assert!(capacity > 0, "local store capacity must be non-zero");
         LocalStore {
             capacity,
-            records: Vec::new(),
-            head: 0,
+            slots: VecDeque::new(),
+            escaped: VecDeque::new(),
+            device: DeviceId::default(),
+            base_sequence: 0,
+            last_sequence: 0,
+            unordered: false,
             evicted: 0,
             total_stored: 0,
         }
@@ -100,24 +151,12 @@ impl LocalStore {
 
     /// Number of records currently buffered.
     pub fn len(&self) -> usize {
-        self.records.len() - self.head
+        self.slots.len()
     }
 
     /// Returns `true` if nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.head == self.records.len()
-    }
-
-    /// Drops the dead prefix once it outgrows both the live records and
-    /// [`COMPACT_FLOOR`], keeping the backing vector within 2x of the live
-    /// size plus the floor. A compaction moves fewer live records than the
-    /// dead ones it drops, so its cost is amortized O(1) per eviction,
-    /// acknowledgment or drained record.
-    fn maybe_compact(&mut self) {
-        if self.head > self.len().max(COMPACT_FLOOR) {
-            self.records.drain(..self.head);
-            self.head = 0;
-        }
+        self.slots.is_empty()
     }
 
     /// Number of records dropped because the store overflowed.
@@ -134,16 +173,15 @@ impl LocalStore {
     /// newest data is the most valuable for billing continuity).
     pub fn push(&mut self, record: MeasurementRecord) -> StoreOutcome {
         self.total_stored += 1;
-        if self.len() == self.capacity {
-            self.head += 1;
+        let outcome = if self.len() == self.capacity {
+            self.pop_front();
             self.evicted += 1;
-            self.maybe_compact();
-            self.records.push(record);
             StoreOutcome::StoredEvictingOldest
         } else {
-            self.records.push(record);
             StoreOutcome::Stored
-        }
+        };
+        self.append(record);
+        outcome
     }
 
     /// Removes up to `max` records (oldest first) for transmission, marking
@@ -151,29 +189,29 @@ impl LocalStore {
     /// re-pushed by the caller.
     pub fn drain_for_transmission(&mut self, max: usize) -> Vec<MeasurementRecord> {
         let take = max.min(self.len());
-        let batch = self.records[self.head..self.head + take]
-            .iter()
-            .map(|&r| MeasurementRecord {
+        (0..take)
+            .map(|_| MeasurementRecord {
                 backfilled: true,
-                ..r
+                ..self.pop_front().expect("at most len records are taken")
             })
-            .collect();
-        self.head += take;
-        self.maybe_compact();
-        batch
+            .collect()
     }
 
-    /// Returns the buffered records without removing them.
-    pub fn peek_all(&self) -> &[MeasurementRecord] {
-        &self.records[self.head..]
+    /// The buffered records, oldest first, without removing them.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = MeasurementRecord> + '_ {
+        let mut escaped = self.escaped.iter();
+        self.slots.iter().map(move |&slot| {
+            self.unpack(slot)
+                .unwrap_or_else(|| *escaped.next().expect("one escaped record per sentinel"))
+        })
     }
 
     /// Drops every buffered record — a firmware crash losing the volatile
     /// store-and-forward buffer. Returns how many records were lost.
     pub fn clear(&mut self) -> usize {
         let lost = self.len();
-        self.records.clear();
-        self.head = 0;
+        self.slots.clear();
+        self.escaped.clear();
         lost
     }
 
@@ -182,26 +220,26 @@ impl LocalStore {
     pub fn acknowledge_through(&mut self, through_sequence: u64) -> usize {
         let before = self.len();
         // Records are pushed in ascending sequence order, so acknowledged
-        // records form a prefix — pruning is an offset bump.
-        while self.head < self.records.len() && self.records[self.head].sequence <= through_sequence
-        {
-            self.head += 1;
-        }
-        // Re-pushed backfill can break monotonicity; fall back to filtering
-        // the (now small) live remainder only when it actually happened.
-        if self
-            .peek_all()
+        // records form a prefix.
+        while self
             .iter()
-            .any(|r| r.sequence <= through_sequence)
+            .next()
+            .is_some_and(|r| r.sequence <= through_sequence)
         {
+            self.pop_front();
+        }
+        // Re-pushed backfill can break that order; only then can an
+        // acknowledged record sit behind an unacknowledged one.
+        if self.unordered && self.iter().any(|r| r.sequence <= through_sequence) {
             let kept: Vec<MeasurementRecord> = self
-                .records
-                .drain(self.head..)
+                .iter()
                 .filter(|r| r.sequence > through_sequence)
                 .collect();
-            self.records.extend(kept);
+            self.clear();
+            for record in kept {
+                self.append(record);
+            }
         }
-        self.maybe_compact();
         before - self.len()
     }
 
@@ -210,7 +248,7 @@ impl LocalStore {
     /// sampling and transmission is detectable.
     pub fn integrity_digest(&self) -> Digest {
         let mut hasher = Sha256::new();
-        for r in self.peek_all() {
+        for r in self.iter() {
             hasher.update(&r.canonical_bytes());
         }
         hasher.finalize()
@@ -218,14 +256,87 @@ impl LocalStore {
 
     /// Total charge buffered, in microamp-seconds.
     pub fn buffered_charge_uas(&self) -> u64 {
-        self.peek_all().iter().map(|r| r.charge_uas).sum()
+        self.iter().map(|r| r.charge_uas).sum()
+    }
+
+    /// Adds `record` behind the buffered ones; the caller has made room.
+    fn append(&mut self, record: MeasurementRecord) {
+        if self.is_empty() {
+            self.device = record.device;
+            self.base_sequence = record.sequence;
+            self.unordered = false;
+        } else {
+            self.unordered |= record.sequence < self.last_sequence;
+        }
+        self.last_sequence = record.sequence;
+        let slot = self.pack(&record).unwrap_or_else(|| {
+            reserve_one(&mut self.escaped, self.capacity);
+            self.escaped.push_back(record);
+            Slot::ESCAPED
+        });
+        reserve_one(&mut self.slots, self.capacity);
+        self.slots.push_back(slot);
+    }
+
+    /// Removes the oldest record, keeping the ring and the escape FIFO in
+    /// step.
+    fn pop_front(&mut self) -> Option<MeasurementRecord> {
+        let slot = self.slots.pop_front()?;
+        Some(self.unpack(slot).unwrap_or_else(|| {
+            self.escaped
+                .pop_front()
+                .expect("one escaped record per sentinel")
+        }))
+    }
+
+    /// Packs `record` into a slot, or `None` if a field does not fit: another
+    /// device, a sequence below the base or 2^31 past it, an interval that
+    /// ends before it starts or lasts `u32::MAX` µs or more, or a mean or
+    /// charge above `u32::MAX`.
+    fn pack(&self, record: &MeasurementRecord) -> Option<Slot> {
+        if record.device != self.device {
+            return None;
+        }
+        let seq_off = record.sequence.checked_sub(self.base_sequence)?;
+        let seq_off = u32::try_from(seq_off)
+            .ok()
+            .filter(|&off| off < Slot::BACKFILLED)?;
+        let dur_us = record
+            .interval_end_us
+            .checked_sub(record.interval_start_us)?;
+        let dur_us = u32::try_from(dur_us)
+            .ok()
+            .filter(|&dur| dur != Slot::ESCAPED.dur_us)?;
+        Some(Slot {
+            end_us: record.interval_end_us,
+            seq_off: if record.backfilled {
+                seq_off | Slot::BACKFILLED
+            } else {
+                seq_off
+            },
+            dur_us,
+            mean_ua: u32::try_from(record.mean_current_ua).ok()?,
+            charge_uas: u32::try_from(record.charge_uas).ok()?,
+        })
+    }
+
+    /// The record `slot` packs, or `None` for a sentinel.
+    fn unpack(&self, slot: Slot) -> Option<MeasurementRecord> {
+        (slot.dur_us != Slot::ESCAPED.dur_us).then(|| MeasurementRecord {
+            device: self.device,
+            sequence: self.base_sequence + u64::from(slot.seq_off & !Slot::BACKFILLED),
+            interval_start_us: slot.end_us - u64::from(slot.dur_us),
+            interval_end_us: slot.end_us,
+            mean_current_ua: slot.mean_ua.into(),
+            charge_uas: slot.charge_uas.into(),
+            backfilled: slot.seq_off & Slot::BACKFILLED != 0,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtem_net::packet::DeviceId;
     use rtem_sim::rng::SimRng;
 
     fn record(seq: u64) -> MeasurementRecord {
@@ -260,7 +371,7 @@ mod tests {
         assert_eq!(s.push(record(3)), StoreOutcome::StoredEvictingOldest);
         assert_eq!(s.len(), 3);
         assert_eq!(s.evicted(), 1);
-        let seqs: Vec<u64> = s.peek_all().iter().map(|r| r.sequence).collect();
+        let seqs: Vec<u64> = s.iter().map(|r| r.sequence).collect();
         assert_eq!(seqs, vec![1, 2, 3]);
     }
 
@@ -289,7 +400,7 @@ mod tests {
             s.push(record(i));
         }
         assert_eq!(s.acknowledge_through(3), 4);
-        let seqs: Vec<u64> = s.peek_all().iter().map(|r| r.sequence).collect();
+        let seqs: Vec<u64> = s.iter().map(|r| r.sequence).collect();
         assert_eq!(seqs, vec![4, 5]);
         assert_eq!(s.acknowledge_through(100), 2);
         assert!(s.is_empty());
@@ -330,26 +441,84 @@ mod tests {
     }
 
     #[test]
-    fn dead_prefix_stays_within_the_compaction_bound() {
+    fn each_field_escapes_one_past_its_last_fitting_value() {
+        fn with(edit: impl FnOnce(&mut MeasurementRecord)) -> MeasurementRecord {
+            let mut r = record(11);
+            edit(&mut r);
+            r
+        }
+        let base = record(10);
+        let max = u64::from(u32::MAX);
+        // (last value that fits a slot, first one past it) per field, for a
+        // store whose base is sequence 10 of device 1.
+        let cases = [
+            (
+                with(|r| r.sequence = 10 + (1 << 31) - 1),
+                with(|r| r.sequence = 10 + (1 << 31)),
+            ),
+            (with(|r| r.sequence = 10), with(|r| r.sequence = 9)),
+            (
+                with(|r| r.interval_start_us = r.interval_end_us),
+                with(|r| r.interval_start_us = r.interval_end_us + 1),
+            ),
+            (
+                with(|r| r.interval_end_us = r.interval_start_us + max - 1),
+                with(|r| r.interval_end_us = r.interval_start_us + max),
+            ),
+            (
+                with(|r| r.mean_current_ua = max),
+                with(|r| r.mean_current_ua = max + 1),
+            ),
+            (
+                with(|r| r.charge_uas = max),
+                with(|r| r.charge_uas = max + 1),
+            ),
+            // The store's own device, with the backfilled bit set, then
+            // another device.
+            (
+                with(|r| r.backfilled = true),
+                with(|r| r.device = DeviceId(2)),
+            ),
+        ];
+        for (fits, escapes) in cases {
+            let mut s = LocalStore::new(8);
+            s.push(base);
+            s.push(fits);
+            assert!(s.escaped.is_empty(), "{fits:?} fits a slot");
+            s.push(escapes);
+            assert_eq!(s.escaped.len(), 1, "{escapes:?} escapes");
+            assert_eq!(s.iter().collect::<Vec<_>>(), [base, fits, escapes]);
+        }
+    }
+
+    #[test]
+    fn slots_never_outgrow_the_capacity() {
+        for capacity in [1, 600, 4096] {
+            let mut s = LocalStore::new(capacity);
+            for seq in 0..3 * capacity as u64 {
+                s.push(record(seq));
+                assert!(s.slots.capacity() <= capacity, "capacity {capacity}");
+            }
+            assert_eq!(s.len(), capacity);
+            assert_eq!(s.escaped.capacity(), 0);
+        }
+    }
+
+    #[test]
+    fn a_lagging_ack_keeps_the_ring_small() {
         let mut s = LocalStore::new(4096);
         let mut rng = SimRng::seed_from_u64(5);
-        let mut compactions = 0;
         for seq in 0..10_000 {
             s.push(record(seq));
-            assert!(s.head <= s.len().max(COMPACT_FLOOR), "after push {seq}");
             // An aggregator acking all but the newest 0..=2 records, as one
             // lagging a tick or two behind the device does.
             let lag = rng.next_below(3);
             if let Some(through) = seq.checked_sub(lag) {
-                let head_before = s.head;
                 s.acknowledge_through(through);
-                compactions += usize::from(s.head < head_before);
             }
             assert!(s.len() <= 3, "at most 3 live records");
-            assert!(s.head <= s.len().max(COMPACT_FLOOR), "after ack {seq}");
+            assert!(s.slots.capacity() <= 8, "after ack {seq}");
         }
-        assert!(s.records.len() <= 3 + COMPACT_FLOOR);
-        assert!(compactions > 10_000 / (COMPACT_FLOOR + 3));
     }
 
     #[test]

@@ -453,10 +453,8 @@ impl MeteringDevice {
             .as_micros()
             .saturating_sub(2 * self.middleware.config().t_measure.as_micros());
         self.store
-            .peek_all()
             .iter()
-            .map(|r| {
-                let mut r = *r;
+            .map(|mut r| {
                 // Anything older than the last couple of intervals was held
                 // in local storage across a connectivity gap.
                 if r.interval_end_us < fresh_threshold_us {

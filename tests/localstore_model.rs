@@ -1,13 +1,15 @@
-//! Property-style model tests for `LocalStore`'s offset ring.
+//! Property-style model tests for `LocalStore`'s capped ring.
 //!
-//! PR 4 rewrote the device-side store-and-forward buffer from a `Vec` with
-//! `remove(0)` memmoves into an offset ring (head pointer + amortized
-//! compaction) with only example-based coverage. These tests drive the ring
+//! The device-side store-and-forward buffer packs each record into a
+//! 24-byte slot of a ring that never outgrows its capacity, and keeps the
+//! records that do not fit a slot whole in a side FIFO. These tests drive it
 //! through long seeded sequences of every operation the device firmware
 //! performs — push, drain-for-transmission, failed-transmission re-push,
-//! acknowledge-through, crash-clear — and check each step against a naive
-//! `Vec` model whose semantics are obviously correct.
+//! acknowledge-through, crash-clear — with about one push in ten a record
+//! that cannot fit a slot, and check each step against a naive `Vec` model
+//! whose semantics are obviously correct.
 
+use rtem::chain::sha256::{Digest, Sha256};
 use rtem::device::data_layer::{LocalStore, StoreOutcome};
 use rtem::net::packet::{DeviceId, MeasurementRecord};
 use rtem::sim::rng::SimRng;
@@ -65,6 +67,14 @@ impl NaiveStore {
         self.records.clear();
         lost
     }
+
+    fn integrity_digest(&self) -> Digest {
+        let mut hasher = Sha256::new();
+        for r in &self.records {
+            hasher.update(&r.canonical_bytes());
+        }
+        hasher.finalize()
+    }
 }
 
 fn record(seq: u64) -> MeasurementRecord {
@@ -77,6 +87,25 @@ fn record(seq: u64) -> MeasurementRecord {
         charge_uas: 10_000 + seq,
         backfilled: false,
     }
+}
+
+/// The `n`th of the records that cannot fit a slot, cycling through every
+/// reason: another device, a sequence below the store's base or 2^31 past
+/// it, an interval that ends before it starts or lasts `u32::MAX` µs or
+/// more, and a mean or a charge above `u32::MAX`.
+fn unfit_record(n: u64, seq: u64) -> MeasurementRecord {
+    let mut r = record(seq);
+    let past_u32 = u64::from(u32::MAX) + 1 + seq;
+    match n % 7 {
+        0 => r.device = DeviceId(2),
+        1 => r.sequence = 0,
+        2 => r.sequence = seq + (1 << 31),
+        3 => r.interval_start_us = r.interval_end_us + 1,
+        4 => r.interval_end_us = r.interval_start_us + u64::from(u32::MAX),
+        5 => r.mean_current_ua = past_u32,
+        _ => r.charge_uas = past_u32,
+    }
+    r
 }
 
 /// Full observable-state comparison after every operation.
@@ -94,14 +123,19 @@ fn assert_equivalent(step: usize, ring: &LocalStore, model: &NaiveStore) {
         "total_stored at step {step}"
     );
     assert_eq!(
-        ring.peek_all(),
-        &model.records[..],
+        ring.iter().collect::<Vec<_>>(),
+        model.records,
         "contents at step {step}"
     );
     assert_eq!(
         ring.buffered_charge_uas(),
         model.records.iter().map(|r| r.charge_uas).sum::<u64>(),
         "buffered charge at step {step}"
+    );
+    assert_eq!(
+        ring.integrity_digest(),
+        model.integrity_digest(),
+        "integrity digest at step {step}"
     );
 }
 
@@ -111,6 +145,7 @@ fn run_sequence(seed: u64, capacity: usize, steps: usize) {
     let mut ring = LocalStore::new(capacity);
     let mut model = NaiveStore::new(capacity);
     let mut next_seq = 0u64;
+    let mut unfit = 0u64;
     // Records drained but "lost in transmission", awaiting re-push.
     let mut in_flight: Vec<MeasurementRecord> = Vec::new();
 
@@ -118,7 +153,12 @@ fn run_sequence(seed: u64, capacity: usize, steps: usize) {
         match rng.next_below(100) {
             // Push the next measurement (the dominant operation).
             0..=54 => {
-                let r = record(next_seq);
+                let r = if rng.chance(0.1) {
+                    unfit += 1;
+                    unfit_record(unfit, next_seq)
+                } else {
+                    record(next_seq)
+                };
                 next_seq += 1;
                 assert_eq!(ring.push(r), model.push(r), "push outcome at step {step}");
             }
@@ -178,8 +218,8 @@ fn ring_matches_naive_model_at_tiny_capacity() {
 
 #[test]
 fn ring_matches_naive_model_at_fleet_capacity() {
-    // Larger rings with enough steps to wrap and trigger several
-    // compactions (the deployed store holds 4096 records; these sizes hit
+    // Larger rings with enough steps to grow to their capacity and wrap
+    // several times (the deployed store holds 4096 records; these sizes hit
     // the same code paths orders of magnitude faster).
     run_sequence(7, 64, 3000);
     run_sequence(8, 512, 3000);
@@ -197,7 +237,7 @@ fn sustained_eviction_is_the_unregistered_device_pattern() {
     }
     assert_eq!(ring.len(), capacity);
     assert_eq!(ring.evicted(), 10_000 - capacity as u64);
-    let seqs: Vec<u64> = ring.peek_all().iter().map(|r| r.sequence).collect();
+    let seqs: Vec<u64> = ring.iter().map(|r| r.sequence).collect();
     let expected: Vec<u64> = (10_000 - capacity as u64..10_000).collect();
     assert_eq!(seqs, expected);
 }
@@ -205,18 +245,18 @@ fn sustained_eviction_is_the_unregistered_device_pattern() {
 #[test]
 fn integrity_digest_tracks_logical_contents_not_compaction_state() {
     // Two stores reaching the same logical contents through different
-    // operation histories (and thus different head offsets) must agree on
-    // the integrity digest and compare equal.
+    // operation histories (and thus different base sequences and ring
+    // positions) must agree on the integrity digest and compare equal.
     let mut a = LocalStore::new(8);
     let mut b = LocalStore::new(8);
     for seq in 0..20u64 {
         a.push(record(seq));
     }
-    a.acknowledge_through(15); // contents: 16..20 via offset bumps
+    a.acknowledge_through(15); // contents: 16..20, popped off the front
     for seq in 16..20u64 {
         b.push(record(seq));
     }
-    assert_eq!(a.peek_all(), b.peek_all());
+    assert!(a.iter().eq(b.iter()));
     assert_eq!(a.integrity_digest(), b.integrity_digest());
     // Lifetime counters differ, so full equality must not hold...
     assert_ne!(
